@@ -33,7 +33,6 @@ from .model import (
     SizeLimitError,
     TestMatrix,
     bits_to_index,
-    bsc_likelihood,
     compute_syndrome,
     index_to_bits,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "bernoulli_matrix",
     "bits_to_index",
     "branch_metric",
-    "bsc_likelihood",
     "comp_decide",
     "compute_syndrome",
     "decide",

@@ -38,7 +38,7 @@ from .model import (
     Prior,
     SizeLimitError,
     as_bit_vector,
-    bits_to_index,
+    index_to_bits,
 )
 from .trellis import Complete, Expurgated, Reduced, Trellis
 
@@ -151,11 +151,38 @@ def _engine(trellis, prior, beta_final):
     return lapp, log_evidence, metrics
 
 
-def _check_custom_guard(noise, m):
-    if isinstance(noise, CustomNoise) and m > MAX_CUSTOM_NOISE_TESTS:
+def _final_beta(trellis, noise, rows):
+    """Likelihoods of validated (K, m) outcome rows at the final states.
+
+    Raises NotASyndromeError when a row has zero probability at every
+    reachable syndrome.
+    """
+    if isinstance(noise, CustomNoise) and trellis.m > MAX_CUSTOM_NOISE_TESTS:
         raise SizeLimitError(
-            f"generic likelihoods are guarded to {MAX_CUSTOM_NOISE_TESTS} tests, got {m}"
+            f"generic likelihoods are guarded to {MAX_CUSTOM_NOISE_TESTS} tests, got {trellis.m}"
         )
+    beta_final = noise.likelihood_table(rows, trellis.final_states, trellis.m)
+    dead = np.flatnonzero(beta_final.sum(axis=0) == 0.0)
+    if dead.size:
+        raise NotASyndromeError(
+            f"{dead.size} outcome row(s) have zero probability at every reachable "
+            f"syndrome (first at row {int(dead[0])})"
+        )
+    return beta_final
+
+
+def _own_outcome(trellis):
+    """The noiseless outcome a pruned trellis encodes; None for a complete one."""
+    kind = trellis.kind
+    if isinstance(kind, Complete):
+        return None
+    if isinstance(kind, Expurgated):
+        return index_to_bits(kind.final_state, trellis.m)
+    if isinstance(kind, Reduced):
+        own = np.zeros(kind.full_m, dtype=np.uint8)
+        own[kind.test_rows] = 1
+        return own
+    raise TypeError(f"unknown trellis kind {type(kind).__name__}")
 
 
 def run(trellis: Trellis, prior: Prior, noise, t) -> PosteriorResult:
@@ -166,56 +193,29 @@ def run(trellis: Trellis, prior: Prior, noise, t) -> PosteriorResult:
     must be Noiseless.  Raises NotASyndromeError when the outcome has zero
     probability under the model.
     """
+    own = _own_outcome(trellis)
+    tv = as_bit_vector(t, trellis.m if own is None else own.size, "outcome vector")
+    if own is None:
+        beta_final = _final_beta(trellis, noise, tv[None, :])
+    else:
+        if not isinstance(noise, Noiseless):
+            raise ValueError("expurgated and reduced trellises encode a noiseless outcome")
+        if not np.array_equal(tv, own):
+            raise ValueError("outcome differs from the one this trellis was pruned for")
+        beta_final = np.ones((1, 1))
+    lapp, log_ev, metrics = _engine(trellis, prior, beta_final)
+    lapp, log_ev = lapp[:, 0], float(log_ev[0])
+    zero_forced = np.zeros(0, dtype=np.int64)
     kind = trellis.kind
-    if isinstance(kind, Complete):
-        tv = as_bit_vector(t, trellis.m, "outcome vector")
-        _check_custom_guard(noise, trellis.m)
-        column = noise.likelihood_packed(tv, trellis.final_states, trellis.m)
-        if not np.any(column > 0.0):
-            raise NotASyndromeError(
-                "outcome has zero probability at every reachable syndrome"
-            )
-        lapp, log_ev, metrics = _engine(trellis, prior, column[:, None])
-        return PosteriorResult(
-            lapp=lapp[:, 0],
-            log_evidence=float(log_ev[0]),
-            zero_forced=np.zeros(0, dtype=np.int64),
-            metrics=metrics,
-        )
-    if isinstance(kind, Expurgated):
-        if not isinstance(noise, Noiseless):
-            raise ValueError("an expurgated trellis encodes a noiseless outcome")
-        tv = as_bit_vector(t, trellis.m, "outcome vector")
-        if bits_to_index(tv) != kind.final_state:
-            raise ValueError(
-                "outcome differs from the one this trellis was expurgated towards"
-            )
-        lapp, log_ev, metrics = _engine(trellis, prior, np.ones((1, 1)))
-        return PosteriorResult(
-            lapp=lapp[:, 0],
-            log_evidence=float(log_ev[0]),
-            zero_forced=np.zeros(0, dtype=np.int64),
-            metrics=metrics,
-        )
     if isinstance(kind, Reduced):
-        if not isinstance(noise, Noiseless):
-            raise ValueError("a reduced trellis encodes a noiseless outcome")
-        tv = as_bit_vector(t, kind.full_m, "outcome vector")
-        if not np.array_equal(np.flatnonzero(tv == 1), kind.test_rows):
-            raise ValueError("outcome differs from the one this trellis was reduced for")
-        lapp_sub, log_ev, metrics = _engine(trellis, prior, np.ones((1, 1)))
-        lapp = np.full(kind.full_n, np.inf)
-        lapp[kind.kept_elements] = lapp_sub[:, 0]
+        full = np.full(kind.full_n, np.inf)
+        full[kind.kept_elements] = lapp
+        lapp = full
         # silent tests pin their members to zero; fold the prior mass of those
         # forced labels back into the evidence
-        log_ev = float(log_ev[0]) + kind.zero_covered.size * math.log(1.0 - prior.delta)
-        return PosteriorResult(
-            lapp=lapp,
-            log_evidence=log_ev,
-            zero_forced=kind.zero_covered.copy(),
-            metrics=metrics,
-        )
-    raise TypeError(f"unknown trellis kind {type(kind).__name__}")
+        log_ev += kind.zero_covered.size * math.log(1.0 - prior.delta)
+        zero_forced = kind.zero_covered.copy()
+    return PosteriorResult(lapp=lapp, log_evidence=log_ev, zero_forced=zero_forced, metrics=metrics)
 
 
 def posterior_table(trellis: Trellis, prior: Prior, noise, outcomes) -> np.ndarray:
@@ -232,17 +232,8 @@ def posterior_table(trellis: Trellis, prior: Prior, noise, outcomes) -> np.ndarr
         raise ValueError(f"expected a (K, {trellis.m}) outcome array, got shape {rows.shape}")
     if rows.shape[0] == 0:
         return np.zeros((0, trellis.n))
-    if rows.dtype != np.uint8:
-        rows = np.stack([as_bit_vector(r, trellis.m, "outcome vector") for r in rows])
-    _check_custom_guard(noise, trellis.m)
-    beta_final = noise.likelihood_table(rows, trellis.final_states, trellis.m)
-    dead = np.flatnonzero(beta_final.sum(axis=0) == 0.0)
-    if dead.size:
-        raise NotASyndromeError(
-            f"{dead.size} outcome rows have zero probability at every reachable "
-            f"syndrome (first at row {int(dead[0])})"
-        )
-    lapp, _, _ = _engine(trellis, prior, beta_final)
+    rows = as_bit_vector(rows.reshape(-1), None, "outcome array").reshape(rows.shape)
+    lapp, _, _ = _engine(trellis, prior, _final_beta(trellis, noise, rows))
     return lapp.T
 
 

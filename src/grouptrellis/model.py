@@ -157,47 +157,29 @@ def _pack_rows(rows, m):
     return arr.astype(np.int64) @ weights
 
 
-def bsc_likelihood(t, s, epsilon):
-    """Probability of observing `t` when `s` crosses a binary symmetric channel.
-
-    Each bit flips independently with probability `epsilon`; the result is
-    epsilon**d * (1-epsilon)**(m-d) with d the Hamming distance.  epsilon = 0
-    degenerates to the 0/1 indicator of equality.
-    """
-    if not (0.0 <= epsilon < 0.5):
-        raise ValueError(f"crossover probability must lie in [0, 0.5), got {epsilon}")
-    tv = as_bit_vector(t, None, "observed vector")
-    sv = as_bit_vector(s, tv.size, "syndrome vector")
-    d = int(np.count_nonzero(tv != sv))
-    return epsilon**d * (1.0 - epsilon) ** (tv.size - d)
-
-
 class NoiseModel:
     """Observation channel between the noiseless syndrome and the test outcome.
 
     Subclasses supply the likelihood Q(t | s) of observing outcome `t` given
-    syndrome `s`, both as a scalar and batched over packed syndrome indices.
+    syndrome `s`, both as a scalar and as a table over outcome rows and packed
+    syndrome indices.
     """
 
     def likelihood(self, t, s):
         """Scalar Q(t | s) for bit vectors t and s."""
         raise NotImplementedError
 
-    def likelihood_packed(self, t, state_indices, m):
-        """Vector of Q(t | s) over syndromes given as packed integer states."""
-        raise NotImplementedError
-
     def likelihood_table(self, outcomes, state_indices, m):
         """Matrix of Q(t_k | s_j): rows follow `state_indices`, columns `outcomes`.
 
-        `outcomes` is a (K, m) binary array.  The default implementation loops
-        over outcome rows; structured channels override it with vector code.
+        `outcomes` is a (K, m) binary array.
         """
-        rows = np.asarray(outcomes)
-        return np.stack(
-            [self.likelihood_packed(rows[k], state_indices, m) for k in range(rows.shape[0])],
-            axis=1,
-        )
+        raise NotImplementedError
+
+    def likelihood_packed(self, t, state_indices, m):
+        """Vector of Q(t | s) over syndromes given as packed integer states."""
+        row = as_bit_vector(t, m, "observed vector")[None, :]
+        return self.likelihood_table(row, state_indices, m)[:, 0]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -208,11 +190,6 @@ class Noiseless(NoiseModel):
         tv = as_bit_vector(t, None, "observed vector")
         sv = as_bit_vector(s, tv.size, "syndrome vector")
         return 1.0 if np.array_equal(tv, sv) else 0.0
-
-    def likelihood_packed(self, t, state_indices, m):
-        target = bits_to_index(as_bit_vector(t, m, "observed vector"))
-        states = np.asarray(state_indices, dtype=np.int64)
-        return (states == target).astype(np.float64)
 
     def likelihood_table(self, outcomes, state_indices, m):
         targets = _pack_rows(outcomes, m)
@@ -231,13 +208,14 @@ class Bsc(NoiseModel):
             raise ValueError(f"crossover probability must lie in [0, 0.5), got {self.epsilon}")
 
     def likelihood(self, t, s):
-        return bsc_likelihood(t, s, self.epsilon)
+        """epsilon**d * (1-epsilon)**(m-d), m the length of t and d its distance to s.
 
-    def likelihood_packed(self, t, state_indices, m):
-        target = bits_to_index(as_bit_vector(t, m, "observed vector"))
-        states = np.asarray(state_indices, dtype=np.int64)
-        d = np.bitwise_count(states ^ np.int64(target)).astype(np.int64)
-        return self.epsilon**d * (1.0 - self.epsilon) ** (m - d)
+        epsilon = 0 degenerates to the 0/1 indicator of equality.
+        """
+        tv = as_bit_vector(t, None, "observed vector")
+        sv = as_bit_vector(s, tv.size, "syndrome vector")
+        d = int(np.count_nonzero(tv != sv))
+        return self.epsilon**d * (1.0 - self.epsilon) ** (tv.size - d)
 
     def likelihood_table(self, outcomes, state_indices, m):
         targets = _pack_rows(outcomes, m)
@@ -265,10 +243,8 @@ class CustomNoise(NoiseModel):
             raise ValueError(f"likelihood must be finite and non-negative, got {value}")
         return value
 
-    def likelihood_packed(self, t, state_indices, m):
-        tv = as_bit_vector(t, m, "observed vector")
-        states = np.asarray(state_indices, dtype=np.int64)
-        out = np.empty(states.size, dtype=np.float64)
-        for pos, s in enumerate(states):
-            out[pos] = self.likelihood(tv, index_to_bits(s, m))
-        return out
+    def likelihood_table(self, outcomes, state_indices, m):
+        rows = [as_bit_vector(t, m, "observed vector") for t in np.asarray(outcomes)]
+        syndromes = [index_to_bits(s, m) for s in np.asarray(state_indices, dtype=np.int64)]
+        table = [[self.likelihood(t, s) for t in rows] for s in syndromes]
+        return np.array(table, dtype=np.float64).reshape(len(syndromes), len(rows))

@@ -263,17 +263,9 @@ def estimate_operating_point(
     workers: int | None = None,
 ) -> OperatingPoint:
     """Monte Carlo estimate of (p_fa, p_md) for one threshold rule."""
-    fa, md, fa_trials, md_trials = _simulate(
-        matrix, prior, noise, [rule.threshold], rule.tie_defective, trials, seed, workers
-    )
-    return OperatingPoint(
-        threshold=rule.threshold,
-        tie_defective=rule.tie_defective,
-        fa_events=int(fa[0]),
-        fa_trials=fa_trials,
-        md_events=int(md[0]),
-        md_trials=md_trials,
-    )
+    return sweep_roc(
+        matrix, prior, noise, [rule.threshold], trials, seed, rule.tie_defective, workers
+    ).points[0]
 
 
 def sweep_roc(

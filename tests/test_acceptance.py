@@ -17,7 +17,6 @@ from grouptrellis import (
     Prior,
     TestMatrix,
     ThresholdRule,
-    bsc_likelihood,
     build_complete,
     build_reduced,
     comp_decide,
@@ -252,8 +251,8 @@ def test_criterion_6_consistency_identities():
         bsc0_ok = np.array_equal(res_b0.lapp, res.lapp) and res_b0.log_evidence == res.log_evidence
         # BSC with a power-of-two likelihood scale: lapp bitwise invariant
         noisy_t = (t ^ (rng.random(matrix.m) < 0.05)).astype(np.uint8)
-        base = CustomNoise(lambda tv, sv: bsc_likelihood(tv, sv, 0.05))
-        scaled = CustomNoise(lambda tv, sv: 4.0 * bsc_likelihood(tv, sv, 0.05))
+        base = CustomNoise(lambda tv, sv: Bsc(0.05).likelihood(tv, sv))
+        scaled = CustomNoise(lambda tv, sv: 4.0 * Bsc(0.05).likelihood(tv, sv))
         res_n = run(complete, prior, base, noisy_t)
         res_s = run(complete, prior, scaled, noisy_t)
         scale_ok = np.array_equal(res_n.lapp, res_s.lapp)

@@ -1,8 +1,11 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import grouptrellis
 from grouptrellis import comp_decide, read_matrix, write_matrix
 from grouptrellis.cli import main
 
@@ -184,10 +187,12 @@ class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         matrix_path = tmp_path / "m.txt"
         matrix_path.write_text("1 2\n1 0\n")
+        src = str(Path(grouptrellis.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "grouptrellis", "app", "--matrix", str(matrix_path),
              "--delta", "0.2", "--outcome", "1"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath},
         )
         assert proc.returncode == 0
         assert "element lapp p_clear p_defective decision" in proc.stdout

@@ -12,7 +12,6 @@ from grouptrellis import (
     SizeLimitError,
     TestMatrix,
     branch_metric,
-    bsc_likelihood,
     build_complete,
     build_reduced,
     compute_syndrome,
@@ -141,8 +140,8 @@ class TestConsistencyIdentities:
     def test_likelihood_scaling_leaves_lapp_invariant(self, toy_matrix):
         # power-of-two scale: exact in binary floats, so lapp must be bitwise equal
         scale = 4.0
-        base = CustomNoise(lambda t, s: bsc_likelihood(t, s, 0.05))
-        scaled = CustomNoise(lambda t, s: scale * bsc_likelihood(t, s, 0.05))
+        base = CustomNoise(lambda t, s: Bsc(0.05).likelihood(t, s))
+        scaled = CustomNoise(lambda t, s: scale * Bsc(0.05).likelihood(t, s))
         trellis = build_complete(toy_matrix)
         a = run(trellis, PRIOR, base, T_101)
         b = run(trellis, PRIOR, scaled, T_101)
@@ -202,7 +201,7 @@ class TestValidation:
     def test_custom_noise_guarded_to_small_m(self):
         matrix = TestMatrix(np.ones((17, 1), dtype=np.uint8))
         trellis = build_complete(matrix)
-        noise = CustomNoise(lambda t, s: bsc_likelihood(t, s, 0.1))
+        noise = CustomNoise(lambda t, s: Bsc(0.1).likelihood(t, s))
         with pytest.raises(SizeLimitError):
             run(trellis, PRIOR, noise, np.ones(17, dtype=np.uint8))
 
@@ -211,7 +210,7 @@ class TestValidation:
 
         def q(t, s):
             calls.append(tuple(s))
-            return bsc_likelihood(t, s, 0.1)
+            return Bsc(0.1).likelihood(t, s)
 
         trellis = build_complete(toy_matrix)
         run(trellis, PRIOR, CustomNoise(q), T_101)
@@ -249,6 +248,12 @@ class TestPosteriorTable:
         trellis = build_reduced(toy_matrix, T_101)
         with pytest.raises(ValueError):
             posterior_table(trellis, PRIOR, Noiseless(), T_101[None, :])
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    def test_non_binary_rows_rejected(self, toy_matrix, dtype):
+        trellis = build_complete(toy_matrix)
+        with pytest.raises(ValueError):
+            posterior_table(trellis, PRIOR, Noiseless(), np.array([[2, 0, 1]], dtype))
 
     def test_empty_batch(self, toy_matrix):
         trellis = build_complete(toy_matrix)

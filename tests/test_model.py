@@ -13,7 +13,6 @@ from grouptrellis import (
     SizeLimitError,
     TestMatrix,
     bits_to_index,
-    bsc_likelihood,
     compute_syndrome,
     index_to_bits,
 )
@@ -124,24 +123,24 @@ class TestPacking:
 class TestBscLikelihood:
     def test_hand_value(self):
         # one disagreement out of three bits
-        assert bsc_likelihood([1, 0, 1], [1, 1, 1], 0.05) == pytest.approx(
+        assert Bsc(0.05).likelihood([1, 0, 1], [1, 1, 1]) == pytest.approx(
             0.05 * 0.95**2, rel=1e-15
         )
 
     def test_epsilon_zero_is_indicator(self):
-        assert bsc_likelihood([1, 0], [1, 0], 0.0) == 1.0
-        assert bsc_likelihood([1, 0], [1, 1], 0.0) == 0.0
+        assert Bsc(0.0).likelihood([1, 0], [1, 0]) == 1.0
+        assert Bsc(0.0).likelihood([1, 0], [1, 1]) == 0.0
 
     @given(st.integers(1, 6), st.floats(0.0, 0.49), st.data())
     @settings(max_examples=50)
     def test_normalized_over_outcomes(self, m, eps, data):
         s = np.array(data.draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)), np.uint8)
-        total = sum(bsc_likelihood(t, s, eps) for t in all_vectors(m))
+        total = sum(Bsc(eps).likelihood(t, s) for t in all_vectors(m))
         assert total == pytest.approx(1.0, rel=1e-12)
 
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ValueError):
-            bsc_likelihood([1], [1], 0.5)
+            Bsc(0.5).likelihood([1], [1])
         with pytest.raises(ValueError):
             Bsc(-0.01)
 
@@ -163,7 +162,7 @@ class TestNoiseModels:
     def test_likelihood_table_matches_columns(self):
         states = np.array([0, 2, 5, 7])
         outcomes = np.array([[1, 0, 1], [0, 0, 0], [1, 1, 1]], np.uint8)
-        for noise in (Noiseless(), Bsc(0.1), CustomNoise(lambda t, s: bsc_likelihood(t, s, 0.1))):
+        for noise in (Noiseless(), Bsc(0.1), CustomNoise(lambda t, s: Bsc(0.1).likelihood(t, s))):
             table = noise.likelihood_table(outcomes, states, 3)
             for k in range(3):
                 assert np.allclose(table[:, k], noise.likelihood_packed(outcomes[k], states, 3))

@@ -11,7 +11,6 @@ from grouptrellis import (
     Prior,
     TestMatrix,
     ThresholdRule,
-    bsc_likelihood,
     build_complete,
     decide,
     default_threshold_grid,
@@ -186,7 +185,7 @@ class TestValidation:
             estimate_operating_point(PAIR, PRIOR, Noiseless(), ThresholdRule(0.0), 0, seed=0)
 
     def test_custom_noise_cannot_be_sampled(self):
-        noise = CustomNoise(lambda t, s: bsc_likelihood(t, s, 0.1))
+        noise = CustomNoise(lambda t, s: Bsc(0.1).likelihood(t, s))
         with pytest.raises(ValueError):
             estimate_operating_point(PAIR, PRIOR, noise, ThresholdRule(0.0), 100, seed=0)
 

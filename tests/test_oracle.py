@@ -9,7 +9,6 @@ from grouptrellis import (
     Prior,
     SizeLimitError,
     TestMatrix,
-    bsc_likelihood,
     build_complete,
     enumerate_posteriors,
     run,
@@ -62,7 +61,7 @@ class TestAgainstNaiveEnumeration:
             if eps == 0.0:
                 want_q = lambda tv, sv: 1.0 if np.array_equal(tv, sv) else 0.0
             else:
-                want_q = lambda tv, sv: bsc_likelihood(tv, sv, eps)
+                want_q = lambda tv, sv: Bsc(eps).likelihood(tv, sv)
             want0, want1 = naive_posterior_masses(matrix.entries, t, PRIOR.delta, want_q)
             if not (want0 + want1).any():
                 continue  # unreachable noiseless outcome: oracle has nothing to normalise

@@ -4,11 +4,15 @@ ROC curves under increasing test noise
 
 Sweeps the posterior-threshold detector across its full operating
 range on the 7x64 parity-check design and shows how test flips
-degrade the false-alarm / missed-detection tradeoff. Saves the curves
-to roc_noise_comparison.png when matplotlib is available.
+degrade the false-alarm / missed-detection tradeoff. Writes one curve
+as CSV, and the curves to roc_noise_comparison.png when matplotlib is
+available, into a fresh temporary directory and prints their paths.
 
 Run with:  python3 demos/roc_noise_comparison.py
 """
+
+import os
+import tempfile
 
 import numpy as np
 
@@ -53,8 +57,10 @@ print("noiseless endpoint: p_md =", endpoint.p_md,
 
 # Each curve is also a CSV artifact; the file is byte-identical across
 # reruns and worker counts, so it is safe to diff in regression tests.
-curves[2].write_csv("roc_ebch_eps0.05.csv")
-print("wrote roc_ebch_eps0.05.csv")
+out_dir = tempfile.mkdtemp(prefix="roc_noise_comparison_")
+csv_path = os.path.join(out_dir, "roc_ebch_eps0.05.csv")
+curves[2].write_csv(csv_path)
+print("wrote", csv_path)
 
 try:
     import matplotlib
@@ -75,5 +81,6 @@ else:
     ax.legend(loc="lower right")
     ax.grid(True, alpha=0.3)
     fig.tight_layout()
-    fig.savefig("roc_noise_comparison.png", dpi=150)
-    print("wrote roc_noise_comparison.png")
+    png_path = os.path.join(out_dir, "roc_noise_comparison.png")
+    fig.savefig(png_path, dpi=150)
+    print("wrote", png_path)

@@ -102,10 +102,7 @@ class TestMatrix:
     @cached_property
     def column_masks(self):
         """Columns packed as integers, bit i set when the element joins test i."""
-        if self.m > 63:
-            raise SizeLimitError(f"cannot pack {self.m} test bits into int64 masks")
-        weights = (np.int64(1) << np.arange(self.m, dtype=np.int64))
-        return self.entries.T.astype(np.int64) @ weights
+        return _pack_rows(self.entries.T, self.m)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -132,10 +129,7 @@ def compute_syndrome(matrix, x):
 def bits_to_index(bits):
     """Pack a binary vector into an integer, entry i contributing 2**i."""
     arr = as_bit_vector(bits, None, "bit vector")
-    if arr.size > 63:
-        raise SizeLimitError(f"cannot pack {arr.size} bits into an int64 index")
-    weights = (np.int64(1) << np.arange(arr.size, dtype=np.int64))
-    return int(arr.astype(np.int64) @ weights)
+    return int(_pack_rows(arr[None, :], arr.size)[0])
 
 
 def index_to_bits(index, m):
@@ -149,10 +143,12 @@ def index_to_bits(index, m):
 
 
 def _pack_rows(rows, m):
-    """Pack a (K, m) binary array row-wise into int64 indices."""
+    """Pack a (K, m) binary array row-wise into int64 indices, entry i contributing 2**i."""
     arr = np.asarray(rows)
     if arr.ndim != 2 or arr.shape[1] != m:
         raise ValueError(f"expected a (K, {m}) array of outcomes, got shape {arr.shape}")
+    if m > 63:
+        raise SizeLimitError(f"cannot pack {m} bits into int64 indices")
     weights = (np.int64(1) << np.arange(m, dtype=np.int64))
     return arr.astype(np.int64) @ weights
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from .decision import ThresholdRule
 from .forward_backward import posterior_table
-from .model import Bsc, Noiseless, Prior, TestMatrix
+from .model import Bsc, Noiseless, Prior, TestMatrix, _pack_rows
 from .trellis import build_complete
 
 #: Trials per RNG chunk; fixed so estimates never depend on scheduling.
@@ -196,7 +196,7 @@ def _chunk_counts(matrix, prior, noise, cache, thresholds, tie_defective, seed, 
     else:
         outcomes = syndromes
     bits = outcomes.astype(np.uint8)
-    packed = bits.astype(np.int64) @ (np.int64(1) << np.arange(matrix.m, dtype=np.int64))
+    packed = _pack_rows(bits, matrix.m)
     lapp = cache.lookup(packed, bits)
     sorted_fa = np.sort(lapp[~x])
     sorted_md = np.sort(lapp[x])

@@ -18,7 +18,11 @@ Three flavours are built here:
 
 States are stored per depth as sorted arrays of packed syndromes; edges are
 stored positionally (indices into the adjacent state arrays), which lets the
-inference layer gather and scatter probability mass with pure numpy.
+inference layer gather and scatter probability mass with pure numpy.  Every
+flavour is built the same way: grow the reachable states, prune them for the
+two pruned flavours, then derive all edges in one place (`_assemble`) from the
+sorted states and the column masks, since a state `s` has a 0-edge to `s` and
+a 1-edge to `s | mask` wherever that successor is a state.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .model import (
     NotASyndromeError,
     SizeLimitError,
     TestMatrix,
+    _pack_rows,
     as_bit_vector,
     bits_to_index,
 )
@@ -136,16 +141,62 @@ class Trellis:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _section_between(left, masks_ell):
-    """Grow one section from sorted state array `left` under column mask."""
-    one_targets = left | masks_ell
-    right = np.unique(np.concatenate([left, one_targets]))
-    idx = np.arange(left.size, dtype=np.int64)
-    return right, EdgeSection(
-        zero_src=idx,
-        zero_dst=np.searchsorted(right, left).astype(np.int64),
-        one_src=idx,
-        one_dst=np.searchsorted(right, one_targets).astype(np.int64),
+def _lookup(states, values):
+    """Positions of `values` in the sorted array `states`, and which are present."""
+    pos = np.searchsorted(states, values)
+    return pos, states.take(pos, mode="clip") == values
+
+
+def _grow(masks):
+    """Sorted partial syndromes reachable from the root at every depth."""
+    states = [np.zeros(1, dtype=np.int64)]
+    for mask in masks:
+        left = states[-1]
+        states.append(np.unique(np.concatenate([left, left | mask])))
+    return states
+
+
+def _prune(states, masks, final_state, tv):
+    """Keep only the states on some root-to-`final_state` path.
+
+    One backward sweep suffices: a state survives iff its 0-successor `s` or
+    its 1-successor `s | mask` survives, and every state is reachable from
+    the root because `states` came from `_grow`.
+    """
+    if not _lookup(states[-1], final_state)[1]:
+        raise NotASyndromeError(
+            f"outcome {''.join(map(str, tv))} is not a reachable noiseless syndrome"
+        )
+    kept = [np.array([final_state], dtype=np.int64)]
+    for ell in range(len(masks) - 1, -1, -1):
+        left = states[ell]
+        survives = _lookup(kept[-1], left)[1] | _lookup(kept[-1], left | masks[ell])[1]
+        kept.append(left[survives])
+    return kept[::-1]
+
+
+def _assemble(kind, m, masks, states):
+    """Trellis whose edges are derived from adjacent sorted states and the masks.
+
+    An edge exists wherever both its ends are states.  A label whose edges
+    leave every left state (always, in a complete trellis) shares one `arange`
+    as its source array.
+    """
+    sections = []
+    for ell, mask in enumerate(masks):
+        left, right = states[ell], states[ell + 1]
+        every = np.arange(left.size, dtype=np.int64)
+        arrays = []
+        for targets in (left, left | mask):
+            dst, found = _lookup(right, targets)
+            if found.all():
+                arrays += [every, dst]
+            else:
+                src = np.flatnonzero(found)
+                arrays += [src, dst[src]]
+        sections.append(EdgeSection(*arrays))
+    return Trellis(
+        kind=kind, m=m, column_masks=masks, states=tuple(states), sections=tuple(sections)
     )
 
 
@@ -160,58 +211,8 @@ def build_complete(matrix: TestMatrix, max_tests: int = MAX_TESTS) -> Trellis:
         raise SizeLimitError(
             f"matrix has {matrix.m} tests; trellis construction is guarded to {max_tests}"
         )
-    masks = matrix.column_masks
-    states = [np.zeros(1, dtype=np.int64)]
-    sections = []
-    for ell in range(matrix.n):
-        right, sec = _section_between(states[-1], masks[ell])
-        states.append(right)
-        sections.append(sec)
-    return Trellis(
-        kind=Complete(),
-        m=matrix.m,
-        column_masks=masks.copy(),
-        states=tuple(states),
-        sections=tuple(sections),
-    )
-
-
-def _prune_to_final(states, sections, final_pos):
-    """Keep only states/edges on a root-to-final path; returns new arrays."""
-    n = len(sections)
-    keep = [np.zeros(s.size, dtype=bool) for s in states]
-    keep[n][final_pos] = True
-    # backward sweep: a state survives iff some edge reaches a surviving state
-    for ell in range(n - 1, -1, -1):
-        sec = sections[ell]
-        keep[ell][sec.zero_src[keep[ell + 1][sec.zero_dst]]] = True
-        keep[ell][sec.one_src[keep[ell + 1][sec.one_dst]]] = True
-    # forward sweep over the surviving subgraph: drop states the root cannot reach
-    reach = [np.zeros(s.size, dtype=bool) for s in states]
-    reach[0][:] = keep[0]
-    for ell in range(n):
-        sec = sections[ell]
-        for src, dst in ((sec.zero_src, sec.zero_dst), (sec.one_src, sec.one_dst)):
-            live = keep[ell][src] & keep[ell + 1][dst] & reach[ell][src]
-            reach[ell + 1][dst[live]] = True
-    new_states = []
-    remap = []
-    for ell in range(n + 1):
-        mask = keep[ell] & reach[ell]
-        new_states.append(states[ell][mask])
-        pos = np.full(states[ell].size, -1, dtype=np.int64)
-        pos[mask] = np.arange(int(mask.sum()), dtype=np.int64)
-        remap.append(pos)
-    new_sections = []
-    for ell in range(n):
-        sec = sections[ell]
-        parts = []
-        for src, dst in ((sec.zero_src, sec.zero_dst), (sec.one_src, sec.one_dst)):
-            ok = (remap[ell][src] >= 0) & (remap[ell + 1][dst] >= 0)
-            parts.append((remap[ell][src[ok]], remap[ell + 1][dst[ok]]))
-        (z_src, z_dst), (o_src, o_dst) = parts
-        new_sections.append(EdgeSection(z_src, z_dst, o_src, o_dst))
-    return tuple(new_states), tuple(new_sections)
+    masks = matrix.column_masks.copy()
+    return _assemble(Complete(), matrix.m, masks, _grow(masks))
 
 
 def expurgate(trellis: Trellis, t) -> Trellis:
@@ -223,20 +224,9 @@ def expurgate(trellis: Trellis, t) -> Trellis:
         raise ValueError("expurgation starts from a complete trellis")
     tv = as_bit_vector(t, trellis.m, "outcome vector")
     target = bits_to_index(tv)
-    final = trellis.states[-1]
-    pos = int(np.searchsorted(final, target))
-    if pos == final.size or final[pos] != target:
-        raise NotASyndromeError(
-            f"outcome {''.join(map(str, tv))} is not a reachable noiseless syndrome"
-        )
-    states, sections = _prune_to_final(trellis.states, trellis.sections, pos)
-    return Trellis(
-        kind=Expurgated(final_state=target),
-        m=trellis.m,
-        column_masks=trellis.column_masks.copy(),
-        states=states,
-        sections=sections,
-    )
+    masks = trellis.column_masks.copy()
+    states = _prune(trellis.states, masks, target, tv)
+    return _assemble(Expurgated(final_state=target), trellis.m, masks, states)
 
 
 def build_reduced(matrix: TestMatrix, t, max_tests: int = MAX_TESTS) -> Trellis:
@@ -266,45 +256,9 @@ def build_reduced(matrix: TestMatrix, t, max_tests: int = MAX_TESTS) -> Trellis:
         full_m=matrix.m,
         full_n=matrix.n,
     )
-    if kept.size == 0:
-        if m0 > 0:
-            raise NotASyndromeError(
-                "a fired test has no eligible elements left; outcome is not a syndrome"
-            )
-        return Trellis(
-            kind=kind,
-            m=0,
-            column_masks=np.zeros(0, dtype=np.int64),
-            states=(np.zeros(1, dtype=np.int64),),
-            sections=(),
-        )
-    if m0 == 0:
-        # no fired tests: kept elements are unconstrained, single-state chain
-        idx = np.zeros(1, dtype=np.int64)
-        sec = EdgeSection(idx, idx, idx.copy(), idx.copy())
-        return Trellis(
-            kind=kind,
-            m=0,
-            column_masks=np.zeros(kept.size, dtype=np.int64),
-            states=tuple(np.zeros(1, dtype=np.int64) for _ in range(kept.size + 1)),
-            sections=tuple(sec for _ in range(kept.size)),
-        )
-    sub = TestMatrix(matrix.entries[np.ix_(test_rows, kept)])
-    complete = build_complete(sub, max_tests=max_tests)
-    final = complete.states[-1]
-    pos = int(np.searchsorted(final, kind.final_state))
-    if pos == final.size or final[pos] != kind.final_state:
-        raise NotASyndromeError(
-            f"outcome {''.join(map(str, tv))} is not a reachable noiseless syndrome"
-        )
-    states, sections = _prune_to_final(complete.states, complete.sections, pos)
-    return Trellis(
-        kind=kind,
-        m=m0,
-        column_masks=complete.column_masks,
-        states=states,
-        sections=sections,
-    )
+    masks = _pack_rows(matrix.entries[np.ix_(test_rows, kept)].T, m0)
+    states = _prune(_grow(masks), masks, kind.final_state, tv)
+    return _assemble(kind, m0, masks, states)
 
 
 def enumerate_paths(trellis: Trellis, max_paths: int = 1 << 20) -> np.ndarray:

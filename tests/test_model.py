@@ -164,8 +164,10 @@ class TestNoiseModels:
         outcomes = np.array([[1, 0, 1], [0, 0, 0], [1, 1, 1]], np.uint8)
         for noise in (Noiseless(), Bsc(0.1), CustomNoise(lambda t, s: Bsc(0.1).likelihood(t, s))):
             table = noise.likelihood_table(outcomes, states, 3)
-            for k in range(3):
-                assert np.allclose(table[:, k], noise.likelihood_packed(outcomes[k], states, 3))
+            for j, s in enumerate(states):
+                for k, t in enumerate(outcomes):
+                    want = noise.likelihood(t, index_to_bits(s, 3))
+                    assert table[j, k] == pytest.approx(want, rel=1e-15)
 
     def test_custom_noise_rejects_bad_values(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grouptrellis import (
     NotASyndromeError,
@@ -74,13 +76,17 @@ class TestEdgeStructure:
                 assert np.array_equal(left[sec.zero_src], right[sec.zero_dst])
 
     def test_one_edges_or_in_the_column_mask(self, toy_matrix):
-        trellis = build_complete(toy_matrix)
-        for depth in range(trellis.n):
-            sec = trellis.sections[depth]
-            left, right = trellis.states[depth], trellis.states[depth + 1]
-            assert np.array_equal(
-                left[sec.one_src] | trellis.column_masks[depth], right[sec.one_dst]
-            )
+        for trellis in (
+            build_complete(toy_matrix),
+            expurgate(build_complete(toy_matrix), T_101),
+            build_reduced(toy_matrix, T_101),
+        ):
+            for depth in range(trellis.n):
+                sec = trellis.sections[depth]
+                left, right = trellis.states[depth], trellis.states[depth + 1]
+                assert np.array_equal(
+                    left[sec.one_src] | trellis.column_masks[depth], right[sec.one_dst]
+                )
 
     def test_parallel_edges_iff_mask_covered(self, toy_matrix):
         # a state carries both labels to the same successor exactly when it
@@ -90,7 +96,8 @@ class TestEdgeStructure:
             sec = trellis.sections[depth]
             left = trellis.states[depth]
             mask = trellis.column_masks[depth]
-            assert np.array_equal(sec.zero_src, sec.one_src)
+            # both labels leave every state, so they share one source array
+            assert sec.zero_src is sec.one_src
             same = sec.zero_dst == sec.one_dst
             covered = (left & mask) == mask
             assert np.array_equal(same, covered)
@@ -183,6 +190,38 @@ class TestReducedToy:
         # t = (0, 1): test 0 silent clears both elements, test 1 cannot fire
         with pytest.raises(NotASyndromeError):
             build_reduced(mat, [0, 1])
+
+
+@st.composite
+def small_matrices(draw, max_m=4, max_n=7):
+    m = draw(st.integers(1, max_m))
+    n = draw(st.integers(1, max_n))
+    rows = draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=m, max_size=m))
+    return np.array(rows, dtype=np.uint8)
+
+
+class TestPrunedRandom:
+    @given(small_matrices())
+    @settings(deadline=None)
+    def test_paths_are_the_compatible_vectors(self, entries):
+        matrix = TestMatrix(entries)
+        complete = build_complete(matrix)
+        for t in all_vectors(matrix.m):
+            want = compatible_vectors(entries, t)
+            if not want:
+                with pytest.raises(NotASyndromeError):
+                    expurgate(complete, t)
+                with pytest.raises(NotASyndromeError):
+                    build_reduced(matrix, t)
+                continue
+            want = np.array(want)
+            paths = enumerate_paths(expurgate(complete, t))
+            assert sorted(map(tuple, paths)) == sorted(map(tuple, want))
+            reduced = build_reduced(matrix, t)
+            kept = reduced.kind.kept_elements
+            paths = enumerate_paths(reduced)
+            assert sorted(map(tuple, paths)) == sorted(map(tuple, want[:, kept]))
+            assert not want[:, reduced.kind.zero_covered].any()
 
 
 class TestGuards:

@@ -6,7 +6,8 @@ format), `oracle-check` (randomized equivalence sweep of the trellis engine
 against brute-force enumeration).
 
 Exit codes: 0 success, 2 validation problems (bad flags, malformed inputs,
-guard violations), 3 I/O failures, 4 a requested check failed.
+guard violations, running out of memory), 3 I/O failures, 4 a requested
+check failed.
 """
 
 from __future__ import annotations
@@ -326,6 +327,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -19,15 +19,21 @@ like delta^k (1-delta)^(n-k)), both passes renormalise each depth to sum to
 one and accumulate the log of the discarded scale factors; all reported
 quantities fold the accumulated logs back in.
 
-The backward pass is batched: `posterior_table` stacks many outcome vectors
-as columns of the final beta matrix and shares the (outcome-independent)
-forward pass, which is what makes large Monte Carlo sweeps cheap.
+The forward pass does not depend on the outcome, so it is computed once per
+(trellis, prior) and cached with the trellis (for its latest prior, so the
+cache never outgrows the trellis).  The backward pass is batched:
+`posterior_table` stacks many outcome vectors as columns of the final beta
+matrix, and the pass streams from the last depth to the first holding one
+beta at a time, forming the label sums U0/U1 from the same gathers.  Memory
+is therefore O(max states x K) rather than O(total states x K), which is
+what makes large Monte Carlo sweeps cheap.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 
@@ -46,6 +52,11 @@ from .trellis import Complete, Expurgated, Reduced, Trellis
 #: trellis inference with them is restricted to small outcome spaces.
 MAX_CUSTOM_NOISE_TESTS = 16
 
+#: Trellis -> (prevalence, forward pass) of its latest use.  One entry per
+#: trellis bounds the cache by the trellis's own state count, and an entry
+#: goes away with its trellis.
+_ALPHA_CACHE = weakref.WeakKeyDictionary()
+
 
 def branch_metric(label, prior: Prior) -> float:
     """Edge weight gamma: prior probability of one element's label."""
@@ -60,7 +71,8 @@ class MetricTable:
 
     True metrics are recovered as alpha[l] * exp(alpha_log_scale[l]) and
     beta[l] * exp(beta_log_scale[l]).  The scaled alphas sum to one at every
-    depth by construction.
+    depth by construction; they are shared by every result on the same
+    trellis and prior, so they are read-only.
     """
 
     alpha: tuple
@@ -86,8 +98,19 @@ class PosteriorResult:
     metrics: MetricTable
 
 
-def _forward(trellis, g0, g1):
-    """Scaled forward metrics per depth and cumulative log scales."""
+def _forward(trellis, prior):
+    """Scaled forward metrics per depth and cumulative log scales.
+
+    The result depends only on the trellis and the prevalence, so it is
+    cached per trellis for the latest `prior.delta` and dropped with the
+    trellis; its arrays are read-only because `run` hands them out.
+    """
+    # two threads missing at once both compute the same arrays; either may stay
+    delta, cached = _ALPHA_CACHE.get(trellis, (None, None))
+    if delta == prior.delta:
+        return cached
+    g0 = branch_metric(0, prior)
+    g1 = branch_metric(1, prior)
     alpha = [np.ones(1)]
     log_scale = [0.0]
     for ell in range(trellis.n):
@@ -100,53 +123,72 @@ def _forward(trellis, g0, g1):
         c = float(nxt.sum())
         alpha.append(nxt / c)
         log_scale.append(log_scale[-1] + math.log(c))
-    return alpha, np.array(log_scale)
+    cached = (tuple(alpha), np.array(log_scale))
+    for arr in (*cached[0], cached[1]):
+        arr.setflags(write=False)
+    _ALPHA_CACHE[trellis] = (prior.delta, cached)
+    return cached
 
 
-def _backward(trellis, g0, g1, beta_final):
-    """Scaled backward metrics (batched over columns) and cumulative log scales."""
-    n = trellis.n
-    beta = [None] * (n + 1)
-    log_scale = [None] * (n + 1)
-    d = beta_final.sum(axis=0)
-    beta[n] = beta_final / d
-    log_scale[n] = np.log(d)
-    for ell in range(n - 1, -1, -1):
-        sec = trellis.sections[ell]
-        cur = np.zeros((trellis.states[ell].size, beta_final.shape[1]))
-        # src positions are unique within each label array, so fancy += is safe
-        cur[sec.zero_src] += g0 * beta[ell + 1][sec.zero_dst]
-        cur[sec.one_src] += g1 * beta[ell + 1][sec.one_dst]
-        c = cur.sum(axis=0)
-        beta[ell] = cur / c
-        log_scale[ell] = log_scale[ell + 1] + np.log(c)
-    return beta, np.stack(log_scale)
+def _engine(trellis, prior, beta_final, keep_metrics=False):
+    """Lapp (n, K) for the columns of beta_final, which is (final states, K).
 
+    beta_final is normalised in place, so callers pass a fresh array.
 
-def _engine(trellis, prior, beta_final):
-    """Both passes plus per-section label sums; beta_final is (final states, K)."""
+    One backward pass holds a single scaled beta at a time and forms the
+    per-section label sums from the same gathers.  With `keep_metrics` (the
+    K = 1 case of `run`) it also returns the log evidence and the MetricTable
+    of column 0, keeping every depth's beta; otherwise both are None.
+    """
     g0 = branch_metric(0, prior)
     g1 = branch_metric(1, prior)
     n, k = trellis.n, beta_final.shape[1]
-    alpha, a_log = _forward(trellis, g0, g1)
-    beta, b_log = _backward(trellis, g0, g1, beta_final)
+    alpha, a_log = _forward(trellis, prior)
     u0 = np.empty((n, k))
     u1 = np.empty((n, k))
-    for ell in range(n):
+    b_log = np.empty((n + 1, k))
+    d = beta_final.sum(axis=0)
+    b = beta_final
+    b /= d
+    b_log[n] = np.log(d)
+    if keep_metrics:
+        log_evidence = np.log(alpha[n] @ b) + a_log[n] + b_log[n]
+        betas = [b[:, 0]]
+    for ell in range(n - 1, -1, -1):
         sec = trellis.sections[ell]
-        a, b = alpha[ell], beta[ell + 1]
-        u0[ell] = g0 * (a[sec.zero_src] @ b[sec.zero_dst])
-        u1[ell] = g1 * (a[sec.one_src] @ b[sec.one_dst])
+        a = alpha[ell]
+        bz = b[sec.zero_dst]
+        bo = b[sec.one_dst]
+        u0[ell] = g0 * (a[sec.zero_src] @ bz)
+        u1[ell] = g1 * (a[sec.one_src] @ bo)
+        bz *= g0
+        bo *= g1
+        if sec.zero_src.size == sec.one_src.size == a.size:
+            # both labels leave every left state: the new beta is a plain sum
+            bz += bo
+            b = bz
+        else:
+            b = np.zeros((a.size, k))
+            # src positions are unique within each label array, so fancy += is safe
+            b[sec.zero_src] += bz
+            b[sec.one_src] += bo
+        del bz, bo  # freed before the next depth's gathers allocate
+        c = b.sum(axis=0)
+        b /= c
+        b_log[ell] = b_log[ell + 1] + np.log(c)
+        if keep_metrics:
+            betas.append(b[:, 0])
     with np.errstate(divide="ignore"):
         lapp = np.log(u0) - np.log(u1)
+        if not keep_metrics:
+            return lapp, None, None
         section_log_evidence = np.log(u0 + u1) + (a_log[:n, None] + b_log[1:])
-    log_evidence = np.log(alpha[n] @ beta[n]) + a_log[n] + b_log[n]
     metrics = MetricTable(
-        alpha=tuple(alpha),
-        beta=tuple(b[:, 0] for b in beta) if k == 1 else tuple(beta),
+        alpha=alpha,
+        beta=tuple(betas[::-1]),
         alpha_log_scale=a_log,
-        beta_log_scale=b_log[:, 0] if k == 1 else b_log,
-        section_log_evidence=section_log_evidence[:, 0] if k == 1 else section_log_evidence,
+        beta_log_scale=b_log[:, 0],
+        section_log_evidence=section_log_evidence[:, 0],
     )
     return lapp, log_evidence, metrics
 
@@ -203,7 +245,7 @@ def run(trellis: Trellis, prior: Prior, noise, t) -> PosteriorResult:
         if not np.array_equal(tv, own):
             raise ValueError("outcome differs from the one this trellis was pruned for")
         beta_final = np.ones((1, 1))
-    lapp, log_ev, metrics = _engine(trellis, prior, beta_final)
+    lapp, log_ev, metrics = _engine(trellis, prior, beta_final, keep_metrics=True)
     lapp, log_ev = lapp[:, 0], float(log_ev[0])
     zero_forced = np.zeros(0, dtype=np.int64)
     kind = trellis.kind

@@ -197,6 +197,18 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "element lapp p_clear p_defective decision" in proc.stdout
 
+    def test_out_of_memory_is_a_validation_error(self, toy_path, monkeypatch, capsys):
+        from grouptrellis import cli
+
+        def exhausted(matrix):
+            raise MemoryError("trellis arrays")
+
+        monkeypatch.setattr(cli, "build_complete", exhausted)
+        assert main(["app", "--matrix", toy_path, "--delta", "0.1", "--outcome", "101"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: out of memory: trellis arrays\n"
+        assert "Traceback" not in err
+
     def test_argparse_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as err:
             main(["app", "--matrix"])

@@ -1,4 +1,8 @@
+import gc
 import math
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,12 +15,14 @@ from grouptrellis import (
     Prior,
     SizeLimitError,
     TestMatrix,
+    bernoulli_matrix,
     branch_metric,
     build_complete,
     build_reduced,
     compute_syndrome,
     enumerate_posteriors,
     expurgate,
+    forward_backward,
     posterior_pairs,
     posterior_table,
     run,
@@ -153,16 +159,128 @@ class TestConsistencyIdentities:
         # reaching packed state s; checked by brute force at depth 3
         result = run(build_complete(toy_matrix), PRIOR, Noiseless(), T_101)
         trellis = build_complete(toy_matrix)
-        depth = 3
-        want = {}
-        for bits in range(8):
-            prefix = [(bits >> k) & 1 for k in range(depth)]
-            state = walk_partial_syndromes(toy_matrix.entries, prefix)[depth]
-            mass = PRIOR.delta ** sum(prefix) * (1 - PRIOR.delta) ** (depth - sum(prefix))
-            want[state] = want.get(state, 0.0) + mass
-        scaled = result.metrics.alpha[depth] * math.exp(result.metrics.alpha_log_scale[depth])
-        for pos, state in enumerate(trellis.states[depth]):
-            assert scaled[pos] == pytest.approx(want[int(state)], rel=1e-12)
+        _assert_alpha_is_prefix_mass(result.metrics, trellis, toy_matrix, PRIOR, depth=3)
+
+
+def _assert_alpha_is_prefix_mass(metrics, trellis, matrix, prior, depth):
+    want = {}
+    for bits in range(1 << depth):
+        prefix = [(bits >> k) & 1 for k in range(depth)]
+        state = walk_partial_syndromes(matrix.entries, prefix)[depth]
+        mass = prior.delta ** sum(prefix) * (1 - prior.delta) ** (depth - sum(prefix))
+        want[state] = want.get(state, 0.0) + mass
+    scaled = metrics.alpha[depth] * math.exp(metrics.alpha_log_scale[depth])
+    for pos, state in enumerate(trellis.states[depth]):
+        assert scaled[pos] == pytest.approx(want[int(state)], rel=1e-12)
+
+
+class TestAlphaCache:
+    def test_cached_alpha_is_read_only_and_reused(self, toy_matrix):
+        trellis = build_complete(toy_matrix)
+        first = run(trellis, PRIOR, Bsc(0.05), T_101)
+        with pytest.raises(ValueError):
+            first.metrics.alpha[2][0] = 0.5
+        with pytest.raises(ValueError):
+            first.metrics.alpha_log_scale[0] = 1.0
+        second = run(trellis, PRIOR, Bsc(0.05), T_101)
+        assert second.metrics.alpha is first.metrics.alpha
+        assert np.array_equal(second.lapp, first.lapp)
+        assert second.log_evidence == first.log_evidence
+
+    def test_two_priors_on_one_trellis(self, toy_matrix):
+        trellis = build_complete(toy_matrix)
+        low = run(trellis, Prior(0.1), Noiseless(), T_101)
+        high = run(trellis, Prior(0.3), Noiseless(), T_101)
+        assert not np.array_equal(low.metrics.alpha[3], high.metrics.alpha[3])
+        for prior, result in ((Prior(0.1), low), (Prior(0.3), high)):
+            for depth in range(trellis.n + 1):
+                _assert_alpha_is_prefix_mass(result.metrics, trellis, toy_matrix, prior, depth)
+            fresh = run(build_complete(toy_matrix), prior, Noiseless(), T_101)
+            assert np.array_equal(result.lapp, fresh.lapp)
+        again = run(trellis, Prior(0.1), Noiseless(), T_101)
+        assert np.array_equal(again.metrics.alpha[3], low.metrics.alpha[3])
+        assert np.array_equal(again.lapp, low.lapp)
+
+    def test_dropped_trellis_leaves_the_cache(self, toy_matrix):
+        gc.collect()
+        before = len(forward_backward._ALPHA_CACHE)
+        trellis = build_complete(toy_matrix)
+        alpha = weakref.ref(run(trellis, PRIOR, Noiseless(), T_101).metrics.alpha[1])
+        assert trellis in forward_backward._ALPHA_CACHE
+        assert len(forward_backward._ALPHA_CACHE) == before + 1
+        del trellis
+        gc.collect()
+        assert len(forward_backward._ALPHA_CACHE) == before
+        assert alpha() is None
+
+
+    def test_threads_alternating_priors_on_one_trellis(self):
+        matrix = bernoulli_matrix(8, 24, 0.2, 0)
+        trellis = build_complete(matrix)
+        priors = [Prior(0.05), Prior(0.2)]
+        t = compute_syndrome(matrix, (np.arange(24) % 7 == 0).astype(np.uint8))
+        want = [run(build_complete(matrix), prior, Bsc(0.05), t).lapp for prior in priors]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(run, trellis, priors[i % 2], Bsc(0.05), t) for i in range(64)]
+                lapps = [f.result(timeout=60).lapp for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for i, lapp in enumerate(lapps):
+            assert np.array_equal(lapp, want[i % 2])
+
+
+class TestStreamingBackward:
+    """The backward step sums two gathers when both labels leave every left
+    state (complete sections) and scatters otherwise (pruned sections)."""
+
+    @pytest.mark.parametrize("noise", [Bsc(0.1), Noiseless()], ids=["bsc", "noiseless"])
+    def test_table_rows_match_runs(self, noise):
+        rng = np.random.Generator(np.random.Philox(key=31))
+        for _ in range(6):
+            m, n = int(rng.integers(1, 9)), int(rng.integers(1, 25))
+            matrix = TestMatrix((rng.random((m, n)) < 0.3).astype(np.uint8))
+            trellis = build_complete(matrix)
+            xs = (rng.random((12, n)) < 0.2).astype(np.uint8)
+            outcomes = np.stack([compute_syndrome(matrix, x) for x in xs])
+            if isinstance(noise, Bsc):
+                outcomes ^= (rng.random(outcomes.shape) < noise.epsilon).astype(np.uint8)
+            table = posterior_table(trellis, PRIOR, noise, outcomes)
+            for row, t in zip(table, outcomes):
+                single = run(trellis, PRIOR, noise, t)
+                assert np.array_equal(np.isposinf(row), np.isposinf(single.lapp))
+                assert np.array_equal(np.isneginf(row), np.isneginf(single.lapp))
+                finite = np.isfinite(single.lapp)
+                assert np.allclose(row[finite], single.lapp[finite], rtol=1e-12, atol=1e-12)
+                section = single.metrics.section_log_evidence
+                assert np.allclose(section, single.log_evidence, rtol=1e-12, atol=0)
+
+    def test_pruned_trellises_match_the_oracle(self):
+        rng = np.random.Generator(np.random.Philox(key=37))
+        scattered = 0
+        for _ in range(12):
+            m, n = int(rng.integers(1, 9)), int(rng.integers(1, 15))
+            matrix = TestMatrix((rng.random((m, n)) < 0.3).astype(np.uint8))
+            t = compute_syndrome(matrix, (rng.random(n) < 0.3).astype(np.uint8))
+            reference = enumerate_posteriors(matrix, t, PRIOR, Noiseless())
+            for trellis in (expurgate(build_complete(matrix), t), build_reduced(matrix, t)):
+                scattered += sum(
+                    min(sec.zero_src.size, sec.one_src.size) < trellis.states[ell].size
+                    for ell, sec in enumerate(trellis.sections)
+                )
+                result = run(trellis, PRIOR, Noiseless(), t)
+                assert np.array_equal(np.isposinf(result.lapp), reference.mass1 == 0.0)
+                assert np.array_equal(np.isneginf(result.lapp), reference.mass0 == 0.0)
+                finite = np.isfinite(result.lapp)
+                assert np.allclose(result.lapp[finite], reference.lapp[finite], rtol=1e-11)
+                assert math.exp(result.log_evidence) == pytest.approx(
+                    float(reference.total_mass[0]), rel=1e-11
+                )
+                section = result.metrics.section_log_evidence  # empty when n = 0
+                assert np.allclose(section, section[:1], rtol=1e-12, atol=0)
+        assert scattered > 0
 
 
 class TestBranchMetric:

@@ -24,9 +24,10 @@ The forward pass does not depend on the outcome, so it is computed once per
 cache never outgrows the trellis).  The backward pass is batched:
 `posterior_table` stacks many outcome vectors as columns of the final beta
 matrix, and the pass streams from the last depth to the first holding one
-beta at a time, forming the label sums U0/U1 from the same gathers.  Memory
-is therefore O(max states x K) rather than O(total states x K), which is
-what makes large Monte Carlo sweeps cheap.
+beta at a time, forming the label sums U0/U1 from the same gathers.  No
+per-depth beta is kept, so memory is O(max states x K) rather than
+O(total states x K), which is what makes large Monte Carlo sweeps cheap.
+`run` is the same pass with a single column.
 """
 
 from __future__ import annotations
@@ -67,18 +68,18 @@ def branch_metric(label, prior: Prior) -> float:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class MetricTable:
-    """Scaled per-depth metrics plus the log scale factors to undo the scaling.
+    """Scaled per-depth forward metrics and the per-section log evidence.
 
-    True metrics are recovered as alpha[l] * exp(alpha_log_scale[l]) and
-    beta[l] * exp(beta_log_scale[l]).  The scaled alphas sum to one at every
-    depth by construction; they are shared by every result on the same
-    trellis and prior, so they are read-only.
+    True forward metrics are recovered as alpha[l] * exp(alpha_log_scale[l]).
+    The scaled alphas sum to one at every depth by construction; they are
+    shared by every result on the same trellis and prior, so they are
+    read-only.  The backward pass keeps no per-depth beta.
+    section_log_evidence[l] is log(U0_l + U1_l); it is the same at every
+    section up to rounding.
     """
 
     alpha: tuple
-    beta: tuple
     alpha_log_scale: np.ndarray
-    beta_log_scale: np.ndarray
     section_log_evidence: np.ndarray
 
 
@@ -130,15 +131,15 @@ def _forward(trellis, prior):
     return cached
 
 
-def _engine(trellis, prior, beta_final, keep_metrics=False):
-    """Lapp (n, K) for the columns of beta_final, which is (final states, K).
+def _engine(trellis, prior, beta_final):
+    """Posteriors for the columns of beta_final, which is (final states, K).
 
     beta_final is normalised in place, so callers pass a fresh array.
 
     One backward pass holds a single scaled beta at a time and forms the
-    per-section label sums from the same gathers.  With `keep_metrics` (the
-    K = 1 case of `run`) it also returns the log evidence and the MetricTable
-    of column 0, keeping every depth's beta; otherwise both are None.
+    per-section label sums from the same gathers.  Returns lapp (n, K), log
+    evidence (K,), section log evidence (n, K) and the forward pass
+    (alpha, alpha log scales) it used.
     """
     g0 = branch_metric(0, prior)
     g1 = branch_metric(1, prior)
@@ -151,9 +152,7 @@ def _engine(trellis, prior, beta_final, keep_metrics=False):
     b = beta_final
     b /= d
     b_log[n] = np.log(d)
-    if keep_metrics:
-        log_evidence = np.log(alpha[n] @ b) + a_log[n] + b_log[n]
-        betas = [b[:, 0]]
+    log_evidence = np.log(alpha[n] @ b) + a_log[n] + b_log[n]
     for ell in range(n - 1, -1, -1):
         sec = trellis.sections[ell]
         a = alpha[ell]
@@ -176,21 +175,10 @@ def _engine(trellis, prior, beta_final, keep_metrics=False):
         c = b.sum(axis=0)
         b /= c
         b_log[ell] = b_log[ell + 1] + np.log(c)
-        if keep_metrics:
-            betas.append(b[:, 0])
     with np.errstate(divide="ignore"):
         lapp = np.log(u0) - np.log(u1)
-        if not keep_metrics:
-            return lapp, None, None
         section_log_evidence = np.log(u0 + u1) + (a_log[:n, None] + b_log[1:])
-    metrics = MetricTable(
-        alpha=alpha,
-        beta=tuple(betas[::-1]),
-        alpha_log_scale=a_log,
-        beta_log_scale=b_log[:, 0],
-        section_log_evidence=section_log_evidence[:, 0],
-    )
-    return lapp, log_evidence, metrics
+    return lapp, log_evidence, section_log_evidence, (alpha, a_log)
 
 
 def _final_beta(trellis, noise, rows):
@@ -234,6 +222,10 @@ def run(trellis: Trellis, prior: Prior, noise, t) -> PosteriorResult:
     encode a specific noiseless outcome, so `t` must match it and `noise`
     must be Noiseless.  Raises NotASyndromeError when the outcome has zero
     probability under the model.
+
+    This is the one-column case of the `posterior_table` pass; the result's
+    MetricTable carries the forward metrics and the per-section evidence but
+    no per-depth beta.
     """
     own = _own_outcome(trellis)
     tv = as_bit_vector(t, trellis.m if own is None else own.size, "outcome vector")
@@ -245,8 +237,11 @@ def run(trellis: Trellis, prior: Prior, noise, t) -> PosteriorResult:
         if not np.array_equal(tv, own):
             raise ValueError("outcome differs from the one this trellis was pruned for")
         beta_final = np.ones((1, 1))
-    lapp, log_ev, metrics = _engine(trellis, prior, beta_final, keep_metrics=True)
+    lapp, log_ev, section_log_ev, (alpha, a_log) = _engine(trellis, prior, beta_final)
     lapp, log_ev = lapp[:, 0], float(log_ev[0])
+    metrics = MetricTable(
+        alpha=alpha, alpha_log_scale=a_log, section_log_evidence=section_log_ev[:, 0]
+    )
     zero_forced = np.zeros(0, dtype=np.int64)
     kind = trellis.kind
     if isinstance(kind, Reduced):
@@ -275,8 +270,7 @@ def posterior_table(trellis: Trellis, prior: Prior, noise, outcomes) -> np.ndarr
     if rows.shape[0] == 0:
         return np.zeros((0, trellis.n))
     rows = as_bit_vector(rows.reshape(-1), None, "outcome array").reshape(rows.shape)
-    lapp, _, _ = _engine(trellis, prior, _final_beta(trellis, noise, rows))
-    return lapp.T
+    return _engine(trellis, prior, _final_beta(trellis, noise, rows))[0].T
 
 
 def posterior_pairs(result) -> np.ndarray:

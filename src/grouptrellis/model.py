@@ -216,8 +216,10 @@ class Bsc(NoiseModel):
     def likelihood_table(self, outcomes, state_indices, m):
         targets = _pack_rows(outcomes, m)
         states = np.asarray(state_indices, dtype=np.int64)
-        d = np.bitwise_count(states[:, None] ^ targets[None, :]).astype(np.int64)
-        return self.epsilon**d * (1.0 - self.epsilon) ** (m - d)
+        d = np.bitwise_count(states[:, None] ^ targets[None, :])
+        k = np.arange(m + 1)
+        weights = self.epsilon**k * (1.0 - self.epsilon) ** (m - k)  # one per distance
+        return weights[d]
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

@@ -221,14 +221,10 @@ def _simulate(matrix, prior, noise, thresholds, tie_defective, trials, seed, wor
     trellis = build_complete(matrix)
     cache = _PosteriorCache(trellis, prior, noise)
     thresholds = np.asarray(thresholds, dtype=float)
-    jobs = []
-    done = 0
-    index = 0
-    while done < trials:
-        count = min(CHUNK_TRIALS, trials - done)
-        jobs.append((index, count))
-        done += count
-        index += 1
+    jobs = [
+        (index, min(CHUNK_TRIALS, trials - start))
+        for index, start in enumerate(range(0, trials, CHUNK_TRIALS))
+    ]
 
     def work(job):
         idx, count = job

@@ -7,6 +7,7 @@ checklist when run on its own.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -298,7 +299,7 @@ def test_criterion_8_cli_determinism(tmp_path):
         main(args + ["--workers", "1", "--output", paths[1]]),
         main(args + ["--workers", "4", "--output", paths[2]]),
     ]
-    blobs = [open(p, "rb").read() for p in paths]
+    blobs = [Path(p).read_bytes() for p in paths]
     ok = codes == [0, 0, 0] and blobs[0] == blobs[1] == blobs[2]
     _report(8, "byte-identical ROC CSVs across reruns and worker counts", ok)
     assert codes == [0, 0, 0]

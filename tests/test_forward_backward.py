@@ -1,6 +1,7 @@
 import gc
 import math
 import sys
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -31,6 +32,21 @@ from helpers import walk_partial_syndromes
 
 T_101 = np.array([1, 0, 1], dtype=np.uint8)
 PRIOR = Prior(0.1)
+
+
+def _traced_peak(call):
+    """Peak bytes traced by tracemalloc above the starting level during `call()`."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 def _random_instance(rng, max_m=6, max_n=10):
@@ -256,6 +272,18 @@ class TestStreamingBackward:
                 assert np.allclose(row[finite], single.lapp[finite], rtol=1e-12, atol=1e-12)
                 section = single.metrics.section_log_evidence
                 assert np.allclose(section, single.log_evidence, rtol=1e-12, atol=0)
+                alone = posterior_table(trellis, PRIOR, noise, t[None])[0]
+                assert np.array_equal(alone, single.lapp)
+
+    def test_run_holds_one_beta_at_a_time(self):
+        matrix = bernoulli_matrix(10, 40, 0.15, 0)
+        trellis = build_complete(matrix)
+        noise = Bsc(0.1)
+        t = compute_syndrome(matrix, (np.arange(40) % 9 == 0).astype(np.uint8))
+        run(trellis, PRIOR, noise, t)  # caches alpha, so both calls below skip it
+        table_peak = _traced_peak(lambda: posterior_table(trellis, PRIOR, noise, t[None]))
+        run_peak = _traced_peak(lambda: run(trellis, PRIOR, noise, t))
+        assert run_peak <= 1.5 * table_peak
 
     def test_pruned_trellises_match_the_oracle(self):
         rng = np.random.Generator(np.random.Philox(key=37))

@@ -160,14 +160,21 @@ class TestNoiseModels:
         assert np.allclose(got, want, rtol=1e-15)
 
     def test_likelihood_table_matches_columns(self):
-        states = np.array([0, 2, 5, 7])
-        outcomes = np.array([[1, 0, 1], [0, 0, 0], [1, 1, 1]], np.uint8)
-        for noise in (Noiseless(), Bsc(0.1), CustomNoise(lambda t, s: Bsc(0.1).likelihood(t, s))):
-            table = noise.likelihood_table(outcomes, states, 3)
-            for j, s in enumerate(states):
-                for k, t in enumerate(outcomes):
-                    want = noise.likelihood(t, index_to_bits(s, 3))
-                    assert table[j, k] == pytest.approx(want, rel=1e-15)
+        cases = [
+            (3, np.array([0, 2, 5, 7]), np.array([[1, 0, 1], [0, 0, 0], [1, 1, 1]], np.uint8)),
+            # states 2**j - 1 lie at every distance 0..12 from the all-zero outcome
+            (12, (1 << np.arange(13)) - 1, np.array([[0] * 12, [1] * 12, [1, 0] * 6], np.uint8)),
+        ]
+        for m, states, outcomes in cases:
+            for noise in (
+                Noiseless(), Bsc(0.1), CustomNoise(lambda t, s: Bsc(0.1).likelihood(t, s))
+            ):
+                table = noise.likelihood_table(outcomes, states, m)
+                assert table.shape == (states.size, len(outcomes))
+                for j, s in enumerate(states):
+                    for k, t in enumerate(outcomes):
+                        want = noise.likelihood(t, index_to_bits(s, m))
+                        assert table[j, k] == pytest.approx(want, rel=1e-15)
 
     def test_custom_noise_rejects_bad_values(self):
         with pytest.raises(ValueError):

@@ -5,16 +5,20 @@ channel and the noise model, and score the exact posterior decision against
 the truth.  Two facts keep this fast:
 
 * the posterior log-ratios depend on the trial only through the observed
-  outcome vector, so results are memoised per outcome and computed in
-  batches with a shared forward pass;
+  outcome vector, so each outcome goes through the engine once: chunk c's
+  batch is the outcomes that no chunk before c drew, and all batches share
+  one forward pass;
 * per-threshold counting only needs the sorted lapp values split by ground
   truth, so a whole threshold grid is swept with two searchsorted calls.
 
 Reproducibility: trials are partitioned into fixed-size chunks and chunk c
 uses a counter-based generator advanced to a lane derived from c alone.
-Estimates therefore depend on (trials, seed) but not on the worker count,
-and chunked accumulation of integer event counts is order-independent, so
-repeated runs are bit-identical.
+With `workers` threads, chunks run in rounds of `workers`: sample the
+round's chunks, form their batches in chunk order, run the batches, then
+count the chunks.  The batches, and with them the engine's lapp bits, follow
+chunk order alone, and integer event counts add up in any order, so
+estimates depend on (trials, seed) and on the BLAS thread count, but not on
+the worker count or on thread timing.
 
 Reported rates are per-element averages: p_fa = Pr{flagged | clear} and
 p_md = Pr{missed | defective}, pooled over all elements and trials, with
@@ -23,10 +27,10 @@ binomial 95% half-widths.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -131,59 +135,8 @@ def default_threshold_grid(prior: Prior, count: int = 61, llr_span: float = 15.0
     return np.concatenate([[-math.inf], finite, [math.inf]])
 
 
-class _PosteriorCache:
-    """Memoises lapp rows per packed outcome; misses are batch-computed."""
-
-    def __init__(self, trellis, prior, noise):
-        self._trellis = trellis
-        self._prior = prior
-        self._noise = noise
-        self._keys = np.zeros(0, dtype=np.int64)
-        self._lapp = np.zeros((0, trellis.n))
-        self._lock = threading.Lock()
-
-    def lookup(self, packed, outcome_bits):
-        """lapp rows for packed outcomes; `outcome_bits` supplies the raw rows."""
-        with self._lock:
-            if self._keys.size:
-                pos = np.searchsorted(self._keys, packed)
-                pos_clipped = np.minimum(pos, self._keys.size - 1)
-                hit = self._keys[pos_clipped] == packed
-            else:
-                hit = np.zeros(packed.size, dtype=bool)
-            if not hit.all():
-                miss_packed = packed[~hit]
-                miss_bits = outcome_bits[~hit]
-                uniq, first = np.unique(miss_packed, return_index=True)
-                fresh = posterior_table(
-                    self._trellis, self._prior, self._noise, miss_bits[first]
-                )
-                keys = np.concatenate([self._keys, uniq])
-                rows = np.concatenate([self._lapp, fresh], axis=0)
-                order = np.argsort(keys)
-                self._keys = keys[order]
-                self._lapp = rows[order]
-            return self._lapp[np.searchsorted(self._keys, packed)]
-
-
-def _count_events(sorted_fa, sorted_md, thresholds, tie_defective):
-    """Flagged-clear and missed-defective counts for every threshold at once."""
-    side = "right" if tie_defective else "left"
-    fa = np.searchsorted(sorted_fa, thresholds, side=side).astype(np.int64)
-    md = sorted_md.size - np.searchsorted(sorted_md, thresholds, side=side).astype(np.int64)
-    neg = np.isneginf(thresholds)
-    if neg.any():
-        fa[neg] = 0
-        md[neg] = sorted_md.size
-    pos = np.isposinf(thresholds)
-    if pos.any():
-        fa[pos] = np.searchsorted(sorted_fa, np.inf, side="left")
-        md[pos] = sorted_md.size - np.searchsorted(sorted_md, np.inf, side="left")
-    return fa, md
-
-
-def _chunk_counts(matrix, prior, noise, cache, thresholds, tie_defective, seed, chunk_index, count):
-    """Simulate one chunk of trials; returns (fa_events, md_events, fa_trials, md_trials)."""
+def _sample_chunk(matrix, prior, noise, seed, chunk_index, count):
+    """Draw one chunk of trials: (defectivity rows, packed outcomes, outcome rows)."""
     bitgen = np.random.Philox(key=seed)
     bitgen.advance(chunk_index * _SEED_STRIDE)
     rng = np.random.Generator(bitgen)
@@ -196,19 +149,39 @@ def _chunk_counts(matrix, prior, noise, cache, thresholds, tie_defective, seed, 
     else:
         outcomes = syndromes
     bits = outcomes.astype(np.uint8)
-    packed = _pack_rows(bits, matrix.m)
-    lapp = cache.lookup(packed, bits)
+    return x, _pack_rows(bits, matrix.m), bits
+
+
+def _count_events(lapp, x, thresholds, tie_defective):
+    """(fa_events, md_events, fa_trials, md_trials) of one chunk for every threshold at once."""
     sorted_fa = np.sort(lapp[~x])
     sorted_md = np.sort(lapp[x])
-    fa, md = _count_events(sorted_fa, sorted_md, thresholds, tie_defective)
+    side = "right" if tie_defective else "left"
+    fa = np.searchsorted(sorted_fa, thresholds, side=side).astype(np.int64)
+    md = sorted_md.size - np.searchsorted(sorted_md, thresholds, side=side).astype(np.int64)
+    neg = np.isneginf(thresholds)
+    if neg.any():
+        fa[neg] = 0
+        md[neg] = sorted_md.size
+    pos = np.isposinf(thresholds)
+    if pos.any():
+        fa[pos] = np.searchsorted(sorted_fa, np.inf, side="left")
+        md[pos] = sorted_md.size - np.searchsorted(sorted_md, np.inf, side="left")
     return fa, md, sorted_fa.size, sorted_md.size
 
 
 def _resolve_workers(workers):
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
+    if workers is not None:
+        if workers < 1:
+            raise ValueError(f"worker count must be positive, got {workers}")
+        return workers
+    text = os.environ.get(WORKERS_ENV, "1")
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
     if workers < 1:
-        raise ValueError(f"worker count must be positive, got {workers}")
+        raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {text!r}")
     return workers
 
 
@@ -219,33 +192,49 @@ def _simulate(matrix, prior, noise, thresholds, tie_defective, trials, seed, wor
         raise ValueError("simulation draws outcomes only for noiseless or BSC channels")
     workers = _resolve_workers(workers)
     trellis = build_complete(matrix)
-    cache = _PosteriorCache(trellis, prior, noise)
     thresholds = np.asarray(thresholds, dtype=float)
     jobs = [
         (index, min(CHUNK_TRIALS, trials - start))
         for index, start in enumerate(range(0, trials, CHUNK_TRIALS))
     ]
-
-    def work(job):
-        idx, count = job
-        return _chunk_counts(
-            matrix, prior, noise, cache, thresholds, tie_defective, seed, idx, count
-        )
-
-    if workers == 1:
-        results = [work(job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, jobs))
+    keys = np.zeros(0, dtype=np.int64)  # sorted packed outcomes drawn so far
+    table = np.zeros((0, matrix.n))  # their lapp rows
     fa_events = np.zeros(thresholds.size, dtype=np.int64)
     md_events = np.zeros(thresholds.size, dtype=np.int64)
     fa_trials = 0
     md_trials = 0
-    for fa, md, n_fa, n_md in results:
-        fa_events += fa
-        md_events += md
-        fa_trials += n_fa
-        md_trials += n_md
+
+    def sample(job):
+        return _sample_chunk(matrix, prior, noise, seed, *job)
+
+    def engine(rows):
+        return posterior_table(trellis, prior, noise, rows)
+
+    def count(chunk):
+        x, packed, _ = chunk
+        return _count_events(table[np.searchsorted(keys, packed)], x, thresholds, tie_defective)
+
+    with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        pmap = map if pool is None else pool.map
+        for start in range(0, len(jobs), workers):
+            chunks = list(pmap(sample, jobs[start : start + workers]))
+            # a chunk's batch is the outcomes that no earlier chunk drew, so the
+            # batches, and with them the engine's lapp bits, follow chunk order
+            seen, batches = keys, []
+            for _, packed, bits in chunks:
+                uniq, first = np.unique(packed, return_index=True)
+                fresh = ~np.isin(uniq, seen)
+                if fresh.any():
+                    seen = np.concatenate([seen, uniq[fresh]])
+                    batches.append(bits[first[fresh]])
+            order = np.argsort(seen)
+            table = np.concatenate([table, *pmap(engine, batches)])[order]
+            keys = seen[order]
+            for fa, md, n_fa, n_md in pmap(count, chunks):
+                fa_events += fa
+                md_events += md
+                fa_trials += n_fa
+                md_trials += n_md
     return fa_events, md_events, fa_trials, md_trials
 
 
@@ -279,7 +268,8 @@ def sweep_roc(
 
     All thresholds reuse the same simulated trials, so the curve is exactly
     monotone up to ties.  Thresholds are sorted ascending; duplicates are
-    rejected to keep CSV rows unambiguous.
+    rejected to keep CSV rows unambiguous.  Memory is
+    O(workers x CHUNK_TRIALS x n + distinct outcomes x n).
     """
     lam = np.sort(np.asarray(thresholds, dtype=float))
     if lam.size == 0:

@@ -11,6 +11,7 @@ from grouptrellis import (
     Prior,
     TestMatrix,
     ThresholdRule,
+    bernoulli_matrix,
     build_complete,
     decide,
     default_threshold_grid,
@@ -19,23 +20,36 @@ from grouptrellis import (
     run,
     sweep_roc,
 )
+from grouptrellis import montecarlo
 from grouptrellis.montecarlo import CHUNK_TRIALS
 
 PAIR = TestMatrix(np.array([[1, 1, 0], [0, 1, 1]], dtype=np.uint8))
 PRIOR = Prior(0.2)
+
+# The elements in no test (columns 1 3 4 14 22 27 29 31) get a lapp within a
+# few ulps of the prior log-ratio, and which ulps depends on the engine batch;
+# the centre of default_threshold_grid(Prior(0.02)) lies 2 ulps above it.
+TIE_DESIGN = bernoulli_matrix(12, 48, 0.15, 0)
+TIE_PRIOR = Prior(0.02)
+
+
+def _draw_chunk(matrix, prior, noise, seed, chunk_index, count):
+    """Defectivity rows and outcome rows of one chunk, by the documented seeding."""
+    bitgen = np.random.Philox(key=seed)
+    bitgen.advance(chunk_index * montecarlo._SEED_STRIDE)
+    rng = np.random.Generator(bitgen)
+    x = rng.random((count, matrix.n)) < prior.delta
+    syndromes = (x.astype(np.int32) @ matrix.entries.T.astype(np.int32)) > 0
+    if isinstance(noise, Bsc):
+        return x, syndromes ^ (rng.random((count, matrix.m)) < noise.epsilon)
+    return x, syndromes
 
 
 def _replay_counts(matrix, prior, noise, thresholds, tie_defective, trials, seed):
     """Recount events per trial with plain run() + decide(); trials must fit in
     one chunk so the documented per-chunk seeding reduces to Philox(seed)."""
     assert trials <= CHUNK_TRIALS
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    x = rng.random((trials, matrix.n)) < prior.delta
-    syndromes = (x.astype(np.int32) @ matrix.entries.T.astype(np.int32)) > 0
-    if isinstance(noise, Bsc):
-        outcomes = syndromes ^ (rng.random((trials, matrix.m)) < noise.epsilon)
-    else:
-        outcomes = syndromes
+    x, outcomes = _draw_chunk(matrix, prior, noise, seed, 0, trials)
     trellis = build_complete(matrix)
     fa_events = np.zeros(len(thresholds), dtype=np.int64)
     md_events = np.zeros(len(thresholds), dtype=np.int64)
@@ -83,10 +97,48 @@ class TestDeterminism:
         assert a == b
 
     def test_worker_count_does_not_change_results(self):
-        grid = [-math.inf, 0.0, math.inf]
-        one = sweep_roc(PAIR, PRIOR, Bsc(0.05), grid, trials=20000, seed=13, workers=1)
-        three = sweep_roc(PAIR, PRIOR, Bsc(0.05), grid, trials=20000, seed=13, workers=3)
-        assert one.to_csv() == three.to_csv()
+        inputs = [
+            (PAIR, PRIOR, [-math.inf, 0.0, math.inf], 20000, 13),
+            # 7 chunks; a batch given to the wrong chunk moves md_events at the centre
+            (TIE_DESIGN, TIE_PRIOR, default_threshold_grid(TIE_PRIOR), 50000, 0),
+        ]
+        for matrix, prior, grid, trials, seed in inputs:
+            runs = [
+                sweep_roc(matrix, prior, Bsc(0.05), grid, trials, seed, workers=workers).to_csv()
+                for workers in (1, 2, 2, 2, 3)
+            ]
+            assert runs[1:] == runs[:1] * 4
+
+    def test_engine_batches_are_the_outcomes_each_chunk_draws_first(self, monkeypatch):
+        noise = Bsc(0.05)
+        trials = 3 * CHUNK_TRIALS + 1000
+        expected, seen = [], set()
+        for index, start in enumerate(range(0, trials, CHUNK_TRIALS)):
+            count = min(CHUNK_TRIALS, trials - start)
+            _, outcomes = _draw_chunk(TIE_DESIGN, TIE_PRIOR, noise, 0, index, count)
+            keys = outcomes.astype(np.int64) @ (1 << np.arange(TIE_DESIGN.m))
+            fresh = sorted(set(keys.tolist()) - seen)
+            seen.update(fresh)
+            if fresh:
+                first = [int(np.flatnonzero(keys == key)[0]) for key in fresh]
+                expected.append(outcomes[first].astype(np.uint8))
+        batches = []
+        real = montecarlo.posterior_table
+
+        def recording(trellis, prior, noise, outcomes):
+            batches.append(np.array(outcomes))
+            return real(trellis, prior, noise, outcomes)
+
+        monkeypatch.setattr(montecarlo, "posterior_table", recording)
+        sweep_roc(TIE_DESIGN, TIE_PRIOR, noise, [0.0], trials, seed=0, workers=1)
+        serial = batches[:]
+        batches.clear()
+        sweep_roc(TIE_DESIGN, TIE_PRIOR, noise, [0.0], trials, seed=0, workers=3)
+        assert len(serial) == len(expected) == 4
+        for got, want in zip(serial, expected):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        # threads may enter the engine in any order; the batches must not change
+        assert sorted(b.tobytes() for b in batches) == sorted(b.tobytes() for b in serial)
 
     def test_workers_env_variable_is_honoured(self, monkeypatch):
         monkeypatch.setenv("GROUPTRELLIS_WORKERS", "2")

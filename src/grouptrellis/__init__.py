@@ -24,6 +24,7 @@ from .matrices import (
 )
 from .model import (
     MAX_TESTS,
+    MAX_TRELLIS_BYTES,
     Bsc,
     CustomNoise,
     MatrixFormatError,
@@ -61,6 +62,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MAX_TESTS",
+    "MAX_TRELLIS_BYTES",
     "Bsc",
     "Complete",
     "CustomNoise",

@@ -134,12 +134,16 @@ def _forward(trellis, prior):
 def _engine(trellis, prior, beta_final):
     """Posteriors for the columns of beta_final, which is (final states, K).
 
-    beta_final is normalised in place, so callers pass a fresh array.
+    beta_final is consumed: it is normalised in place and, when it is as
+    wide as the widest depth (always, in a complete trellis), reused as one
+    of the pass's work arrays.  Callers pass a fresh array.
 
     One backward pass holds a single scaled beta at a time and forms the
-    per-section label sums from the same gathers.  Returns lapp (n, K), log
-    evidence (K,), section log evidence (n, K) and the forward pass
-    (alpha, alpha log scales) it used.
+    per-section label sums from the same gathers.  The beta and the two
+    gathers live in three (max states, K) work arrays allocated once per
+    call, so the pass allocates nothing per depth.  Returns lapp (n, K), log
+    evidence (K,), section log evidence (n, K) and the forward pass (alpha,
+    alpha log scales) it used.
     """
     g0 = branch_metric(0, prior)
     g1 = branch_metric(1, prior)
@@ -153,11 +157,17 @@ def _engine(trellis, prior, beta_final):
     b /= d
     b_log[n] = np.log(d)
     log_evidence = np.log(alpha[n] @ b) + a_log[n] + b_log[n]
+    width = max(trellis.state_counts)
+    work = [b if b.shape[0] == width else np.empty((width, k))]
+    work += [np.empty((width, k)) for _ in range(2)]
+    slot = 0  # the work array that holds b, or that b may be written into
     for ell in range(n - 1, -1, -1):
         sec = trellis.sections[ell]
         a = alpha[ell]
-        bz = b[sec.zero_dst]
-        bo = b[sec.one_dst]
+        zslot, oslot = (i for i in range(3) if i != slot)
+        # mode="raise" would buffer `out`; the indices are in range by construction
+        bz = b.take(sec.zero_dst, axis=0, out=work[zslot][: sec.zero_dst.size], mode="clip")
+        bo = b.take(sec.one_dst, axis=0, out=work[oslot][: sec.one_dst.size], mode="clip")
         u0[ell] = g0 * (a[sec.zero_src] @ bz)
         u1[ell] = g1 * (a[sec.one_src] @ bo)
         bz *= g0
@@ -165,13 +175,13 @@ def _engine(trellis, prior, beta_final):
         if sec.zero_src.size == sec.one_src.size == a.size:
             # both labels leave every left state: the new beta is a plain sum
             bz += bo
-            b = bz
+            b, slot = bz, zslot
         else:
-            b = np.zeros((a.size, k))
+            b = work[slot][: a.size]
+            b.fill(0.0)
             # src positions are unique within each label array, so fancy += is safe
             b[sec.zero_src] += bz
             b[sec.one_src] += bo
-        del bz, bo  # freed before the next depth's gathers allocate
         c = b.sum(axis=0)
         b /= c
         b_log[ell] = b_log[ell + 1] + np.log(c)

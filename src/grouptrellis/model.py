@@ -23,6 +23,10 @@ import numpy as np
 #: State spaces grow like 2**m; beyond this we refuse rather than thrash.
 MAX_TESTS = 24
 
+#: Memory a trellis may take, charged while its states grow and before any
+#: edge array exists; a larger construction raises SizeLimitError.
+MAX_TRELLIS_BYTES = 2 << 30
+
 
 class NotASyndromeError(ValueError):
     """Observed outcome vector lies outside the OR-channel image of the matrix."""

@@ -23,6 +23,14 @@ flavour is built the same way: grow the reachable states, prune them for the
 two pruned flavours, then derive all edges in one place (`_assemble`) from the
 sorted states and the column masks, since a state `s` has a 0-edge to `s` and
 a 1-edge to `s | mask` wherever that successor is a state.
+
+Construction costs O(total states) time plus tables of 2**m entries indexed
+by packed state: 1 B per entry for the bool marks (states seen while
+growing, survivors while pruning, members of the right depth while
+assembling) and 8 B per entry for the right depth's positions.  Only the
+pages where states land are touched.  While growing, the tables and 40 B per
+state are charged against MAX_TRELLIS_BYTES, so an oversize trellis raises
+SizeLimitError before any edge array exists.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ import numpy as np
 
 from .model import (
     MAX_TESTS,
+    MAX_TRELLIS_BYTES,
     NotASyndromeError,
     SizeLimitError,
     TestMatrix,
@@ -141,59 +150,101 @@ class Trellis:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _lookup(states, values):
-    """Positions of `values` in the sorted array `states`, and which are present."""
-    pos = np.searchsorted(states, values)
-    return pos, states.take(pos, mode="clip") == values
+#: Bytes charged per state by the build budget: the int64 state, the two int64
+#: destination arrays, the shared int64 source arange and the float64 alpha.
+_STATE_BYTES = 40
+
+#: Bytes charged per entry of the 2**m tables: the int64 position table and
+#: the bool membership table that `_assemble` holds at once.
+_TABLE_BYTES = 9
 
 
-def _grow(masks):
-    """Sorted partial syndromes reachable from the root at every depth."""
-    states = [np.zeros(1, dtype=np.int64)]
-    for mask in masks:
-        left = states[-1]
-        states.append(np.unique(np.concatenate([left, left | mask])))
+def _grow(m, masks):
+    """Sorted partial syndromes reachable from the root at every depth.
+
+    States only grow with depth (every 0-edge keeps its state), so a 2**m
+    `seen` table picks out the new 1-successors in O(states) per depth and
+    only those are sorted and merged in.  The tables and the states grown so
+    far are charged against MAX_TRELLIS_BYTES, and SizeLimitError is raised
+    before a depth that would pass it is kept.
+    """
+    charged = _TABLE_BYTES << m
+    if charged > MAX_TRELLIS_BYTES:
+        raise SizeLimitError(
+            f"{m} tests need 2**{m}-entry construction tables of {charged} bytes; "
+            f"the trellis budget is {MAX_TRELLIS_BYTES} bytes"
+        )
+    seen = np.zeros(1 << m, dtype=bool)
+    seen[0] = True
+    left = np.zeros(1, dtype=np.int64)
+    states = [left]
+    charged += _STATE_BYTES
+    for depth, mask in enumerate(masks, start=1):
+        cand = left | mask
+        new = np.unique(cand[~seen[cand]])
+        if new.size:
+            seen[new] = True
+            left = np.sort(np.concatenate([left, new]), kind="stable")
+        charged += _STATE_BYTES * left.size
+        if charged > MAX_TRELLIS_BYTES:
+            raise SizeLimitError(
+                f"trellis passes its budget of {MAX_TRELLIS_BYTES} bytes at depth {depth} "
+                f"of {len(masks)}"
+            )
+        states.append(left)
     return states
 
 
-def _prune(states, masks, final_state, tv):
+def _prune(m, states, masks, final_state, tv):
     """Keep only the states on some root-to-`final_state` path.
 
     One backward sweep suffices: a state survives iff its 0-successor `s` or
     its 1-successor `s | mask` survives, and every state is reachable from
-    the root because `states` came from `_grow`.
+    the root because `states` came from `_grow`.  A 2**m `live` table marks
+    every survivor found so far.  It never needs clearing: a state that
+    survives at some depth survives at every earlier depth that has it,
+    through its 0-edges, and both successors are states right of the section.
     """
-    if not _lookup(states[-1], final_state)[1]:
+    if not (states[-1] == final_state).any():
         raise NotASyndromeError(
             f"outcome {''.join(map(str, tv))} is not a reachable noiseless syndrome"
         )
+    live = np.zeros(1 << m, dtype=bool)
+    live[final_state] = True
     kept = [np.array([final_state], dtype=np.int64)]
     for ell in range(len(masks) - 1, -1, -1):
         left = states[ell]
-        survives = _lookup(kept[-1], left)[1] | _lookup(kept[-1], left | masks[ell])[1]
-        kept.append(left[survives])
+        kept.append(left[live[left] | live[left | masks[ell]]])
+        live[kept[-1]] = True
     return kept[::-1]
 
 
 def _assemble(kind, m, masks, states):
     """Trellis whose edges are derived from adjacent sorted states and the masks.
 
-    An edge exists wherever both its ends are states.  A label whose edges
-    leave every left state (always, in a complete trellis) shares one `arange`
-    as its source array.
+    An edge exists wherever both its ends are states.  The right states'
+    positions and membership are written into 2**m tables, so each edge
+    target is read in O(1).  A label whose edges leave every left state
+    (always, in a complete trellis) shares one `arange` as its source array.
     """
+    pos = np.empty(1 << m, dtype=np.int64)
+    member = np.zeros(1 << m, dtype=bool)
     sections = []
     for ell, mask in enumerate(masks):
         left, right = states[ell], states[ell + 1]
+        pos[right] = np.arange(right.size, dtype=np.int64)
+        member[right] = True
         every = np.arange(left.size, dtype=np.int64)
         arrays = []
         for targets in (left, left | mask):
-            dst, found = _lookup(right, targets)
+            dst = pos[targets]
+            found = member[targets]
             if found.all():
                 arrays += [every, dst]
             else:
                 src = np.flatnonzero(found)
                 arrays += [src, dst[src]]
+        member[right] = False
         sections.append(EdgeSection(*arrays))
     return Trellis(
         kind=kind, m=m, column_masks=masks, states=tuple(states), sections=tuple(sections)
@@ -205,14 +256,15 @@ def build_complete(matrix: TestMatrix, max_tests: int = MAX_TESTS) -> Trellis:
 
     Guarded to `max_tests` pooled tests because the state space can reach
     2**m.  Only syndromes actually reachable are materialised, which for
-    structured matrices is far fewer.
+    structured matrices is far fewer.  Raises SizeLimitError when the states
+    would pass MAX_TRELLIS_BYTES.
     """
     if matrix.m > max_tests:
         raise SizeLimitError(
             f"matrix has {matrix.m} tests; trellis construction is guarded to {max_tests}"
         )
     masks = matrix.column_masks.copy()
-    return _assemble(Complete(), matrix.m, masks, _grow(masks))
+    return _assemble(Complete(), matrix.m, masks, _grow(matrix.m, masks))
 
 
 def expurgate(trellis: Trellis, t) -> Trellis:
@@ -225,7 +277,7 @@ def expurgate(trellis: Trellis, t) -> Trellis:
     tv = as_bit_vector(t, trellis.m, "outcome vector")
     target = bits_to_index(tv)
     masks = trellis.column_masks.copy()
-    states = _prune(trellis.states, masks, target, tv)
+    states = _prune(trellis.m, trellis.states, masks, target, tv)
     return _assemble(Expurgated(final_state=target), trellis.m, masks, states)
 
 
@@ -257,7 +309,7 @@ def build_reduced(matrix: TestMatrix, t, max_tests: int = MAX_TESTS) -> Trellis:
         full_n=matrix.n,
     )
     masks = _pack_rows(matrix.entries[np.ix_(test_rows, kept)].T, m0)
-    states = _prune(_grow(masks), masks, kind.final_state, tv)
+    states = _prune(m0, _grow(m0, masks), masks, kind.final_state, tv)
     return _assemble(kind, m0, masks, states)
 
 

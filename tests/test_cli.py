@@ -217,6 +217,17 @@ class TestEntryPoint:
         assert err == "error: out of memory: trellis arrays\n"
         assert "Traceback" not in err
 
+    def test_trellis_over_budget_is_a_validation_error(self, monkeypatch, capsys):
+        from grouptrellis import trellis
+
+        monkeypatch.setattr(trellis, "MAX_TRELLIS_BYTES", 4 << 20)
+        argv = ["app", "--kind", "bernoulli", "--rows", "16", "--cols", "64",
+                "--density", "0.1", "--delta", "0.05", "--outcome", "0" * 16]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: trellis passes its budget of 4194304 bytes")
+        assert "Traceback" not in err
+
     def test_argparse_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as err:
             main(["app", "--matrix"])

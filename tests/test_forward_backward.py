@@ -285,6 +285,16 @@ class TestStreamingBackward:
         run_peak = _traced_peak(lambda: run(trellis, PRIOR, noise, t))
         assert run_peak <= 1.5 * table_peak
 
+    def test_table_peak_stays_near_three_betas(self):
+        # beta_final is one of the pass's three (max states, K) work arrays;
+        # a pass that allocates its gathers per depth peaks above 4 of them
+        matrix = bernoulli_matrix(10, 40, 0.2, 0)
+        trellis = build_complete(matrix)
+        rows = (np.random.default_rng(0).random((200, matrix.m)) < 0.5).astype(np.uint8)
+        posterior_table(trellis, PRIOR, Bsc(0.1), rows[:1])  # caches alpha
+        peak = _traced_peak(lambda: posterior_table(trellis, PRIOR, Bsc(0.1), rows))
+        assert peak <= 3.6 * max(trellis.state_counts) * rows.shape[0] * 8
+
     def test_pruned_trellises_match_the_oracle(self):
         rng = np.random.Generator(np.random.Philox(key=37))
         scattered = 0

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,11 +10,13 @@ from grouptrellis import (
     NotASyndromeError,
     SizeLimitError,
     TestMatrix,
+    bernoulli_matrix,
     build_complete,
     build_reduced,
     enumerate_paths,
     expurgate,
 )
+from grouptrellis import trellis as trellis_module
 from helpers import all_vectors, compatible_vectors, walk_partial_syndromes
 
 T_101 = np.array([1, 0, 1], dtype=np.uint8)
@@ -224,6 +227,73 @@ class TestPrunedRandom:
             assert not want[:, reduced.kind.zero_covered].any()
 
 
+def _prefix_syndromes(entries, xs):
+    """Packed partial syndromes of every row of `xs`, as a (rows, n + 1) array."""
+    m, n = entries.shape
+    prefix = np.zeros((len(xs), n + 1), dtype=np.int64)
+    for ell in range(n):
+        mask = sum(int(entries[i, ell]) << i for i in range(m))
+        prefix[:, ell + 1] = prefix[:, ell] | np.where(xs[:, ell] == 1, mask, 0)
+    return prefix
+
+
+def _searchsorted_sections(trellis):
+    """Every section's four edge arrays, looked up by binary search in the states."""
+    sections = []
+    for ell, mask in enumerate(trellis.column_masks):
+        left, right = trellis.states[ell], trellis.states[ell + 1]
+        arrays = []
+        for targets in (left, left | mask):
+            pos = np.searchsorted(right, targets)
+            src = np.flatnonzero(right.take(pos, mode="clip") == targets)
+            arrays += [src, pos[src]]
+        sections.append(arrays)
+    return sections
+
+
+def _assert_construction(trellis, prefix):
+    """Depth l holds the distinct values of `prefix[:, l]`; edges match binary search."""
+    for ell, states in enumerate(trellis.states):
+        assert states.dtype == np.int64
+        assert (np.diff(states) > 0).all()
+        assert np.array_equal(states, np.unique(prefix[:, ell]))
+    for sec, want in zip(trellis.sections, _searchsorted_sections(trellis)):
+        got = [sec.zero_src, sec.zero_dst, sec.one_src, sec.one_dst]
+        for array, expected in zip(got, want):
+            assert array.dtype == np.int64
+            assert np.array_equal(array, expected)
+
+
+class TestConstructionRandom:
+    """Bitmap-built states and edges against brute force over every vector."""
+
+    @given(small_matrices(max_m=10, max_n=10))
+    @settings(deadline=None, max_examples=60)
+    def test_states_and_edges_of_every_flavour(self, entries):
+        matrix = TestMatrix(entries)
+        m, n = entries.shape
+        xs = np.array(all_vectors(n))
+        prefix = _prefix_syndromes(entries, xs)
+        complete = build_complete(matrix)
+        _assert_construction(complete, prefix)
+        for target in range(1 << m):
+            t = np.array([(target >> i) & 1 for i in range(m)], dtype=np.uint8)
+            compatible = prefix[:, n] == target
+            if not compatible.any():
+                with pytest.raises(NotASyndromeError):
+                    expurgate(complete, t)
+                with pytest.raises(NotASyndromeError):
+                    build_reduced(matrix, t)
+                continue
+            _assert_construction(expurgate(complete, t), prefix[compatible])
+            reduced = build_reduced(matrix, t)
+            kind = reduced.kind
+            sub = entries[np.ix_(kind.test_rows, kind.kept_elements)]
+            _assert_construction(
+                reduced, _prefix_syndromes(sub, xs[compatible][:, kind.kept_elements])
+            )
+
+
 class TestGuards:
     def test_complete_guard_on_test_count(self, toy_matrix):
         with pytest.raises(SizeLimitError):
@@ -234,6 +304,25 @@ class TestGuards:
         assert trellis.m == 2
         with pytest.raises(SizeLimitError):
             build_reduced(toy_matrix, [1, 1, 1], max_tests=2)
+
+    def test_raised_test_guard_meets_the_budget(self):
+        # 40 tests pass a caller-raised guard but need 2**40-entry tables
+        matrix = TestMatrix(np.eye(40, dtype=np.uint8))
+        with pytest.raises(SizeLimitError, match="construction tables"):
+            build_complete(matrix, max_tests=40)
+
+    def test_budget_is_checked_before_edges_exist(self, monkeypatch):
+        budget = 4 << 20
+        monkeypatch.setattr(trellis_module, "MAX_TRELLIS_BYTES", budget)
+        matrix = bernoulli_matrix(16, 64, 0.1, 0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError, match="budget"):
+                build_complete(matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < budget
 
     def test_enumerate_paths_guard(self, toy_matrix):
         with pytest.raises(SizeLimitError):

@@ -44,14 +44,7 @@ def decide(lapp, rule: ThresholdRule) -> np.ndarray:
     """Apply a threshold rule to lapp values; 1 marks a flagged element."""
     values = np.asarray(lapp, dtype=float)
     lam = rule.threshold
-    if lam == -math.inf:
-        flags = np.zeros(values.shape, dtype=bool)
-    elif lam == math.inf:
-        flags = values < math.inf
-    elif rule.tie_defective:
-        flags = values <= lam
-    else:
-        flags = values < lam
+    flags = values <= lam if rule.tie_defective and math.isfinite(lam) else values < lam
     return flags.astype(np.uint8)
 
 

@@ -138,12 +138,13 @@ def _engine(trellis, prior, beta_final):
     wide as the widest depth (always, in a complete trellis), reused as one
     of the pass's work arrays.  Callers pass a fresh array.
 
-    One backward pass holds a single scaled beta at a time and forms the
-    per-section label sums from the same gathers.  The beta and the two
-    gathers live in three (max states, K) work arrays allocated once per
-    call, so the pass allocates nothing per depth.  Returns lapp (n, K), log
-    evidence (K,), section log evidence (n, K) and the forward pass (alpha,
-    alpha log scales) it used.
+    One backward pass holds a single scaled beta at a time.  Each section
+    gathers beta per label in left-state order, 0 where a left state has no
+    edge of that label, so every section takes one update.  The beta and the
+    two gathers live in three (max states, K) work arrays allocated once per
+    call, so a complete trellis allocates nothing per depth.  Returns lapp
+    (n, K), log evidence (K,), section log evidence (n, K) and the forward
+    pass (alpha, alpha log scales) it used.
     """
     g0 = branch_metric(0, prior)
     g1 = branch_metric(1, prior)
@@ -160,28 +161,25 @@ def _engine(trellis, prior, beta_final):
     width = max(trellis.state_counts)
     work = [b if b.shape[0] == width else np.empty((width, k))]
     work += [np.empty((width, k)) for _ in range(2)]
-    slot = 0  # the work array that holds b, or that b may be written into
+    slot = 0  # the work array that holds b, when b is one
     for ell in range(n - 1, -1, -1):
         sec = trellis.sections[ell]
         a = alpha[ell]
         zslot, oslot = (i for i in range(3) if i != slot)
-        # mode="raise" would buffer `out`; the indices are in range by construction
-        bz = b.take(sec.zero_dst, axis=0, out=work[zslot][: sec.zero_dst.size], mode="clip")
-        bo = b.take(sec.one_dst, axis=0, out=work[oslot][: sec.one_dst.size], mode="clip")
-        u0[ell] = g0 * (a[sec.zero_src] @ bz)
-        u1[ell] = g1 * (a[sec.one_src] @ bo)
+        bz, bo = work[zslot][: a.size], work[oslot][: a.size]
+        for out, src, dst in ((bz, sec.zero_src, sec.zero_dst), (bo, sec.one_src, sec.one_dst)):
+            if src.size == a.size:  # the label leaves every left state: src is the identity
+                # mode="raise" would buffer `out`; the indices are in range by construction
+                b.take(dst, axis=0, out=out, mode="clip")
+            else:  # 0 where a left state has no edge of this label
+                out.fill(0.0)
+                out[src] = b[dst]
+        u0[ell] = g0 * (a @ bz)
+        u1[ell] = g1 * (a @ bo)
         bz *= g0
         bo *= g1
-        if sec.zero_src.size == sec.one_src.size == a.size:
-            # both labels leave every left state: the new beta is a plain sum
-            bz += bo
-            b, slot = bz, zslot
-        else:
-            b = work[slot][: a.size]
-            b.fill(0.0)
-            # src positions are unique within each label array, so fancy += is safe
-            b[sec.zero_src] += bz
-            b[sec.one_src] += bo
+        bz += bo
+        b, slot = bz, zslot
         c = b.sum(axis=0)
         b /= c
         b_log[ell] = b_log[ell + 1] + np.log(c)

@@ -156,18 +156,13 @@ def _count_events(lapp, x, thresholds, tie_defective):
     """(fa_events, md_events, fa_trials, md_trials) of one chunk for every threshold at once."""
     sorted_fa = np.sort(lapp[~x])
     sorted_md = np.sort(lapp[x])
-    side = "right" if tie_defective else "left"
-    fa = np.searchsorted(sorted_fa, thresholds, side=side).astype(np.int64)
-    md = sorted_md.size - np.searchsorted(sorted_md, thresholds, side=side).astype(np.int64)
-    neg = np.isneginf(thresholds)
-    if neg.any():
-        fa[neg] = 0
-        md[neg] = sorted_md.size
-    pos = np.isposinf(thresholds)
-    if pos.any():
-        fa[pos] = np.searchsorted(sorted_fa, np.inf, side="left")
-        md[pos] = sorted_md.size - np.searchsorted(sorted_md, np.inf, side="left")
-    return fa, md, sorted_fa.size, sorted_md.size
+    # the tie rule of decision.decide: <= only for a finite lambda
+    right = tie_defective & np.isfinite(thresholds)
+    fa, md = (
+        np.where(right, v.searchsorted(thresholds, "right"), v.searchsorted(thresholds, "left"))
+        for v in (sorted_fa, sorted_md)
+    )
+    return fa.astype(np.int64), sorted_md.size - md.astype(np.int64), sorted_fa.size, sorted_md.size
 
 
 def _resolve_workers(workers):

@@ -94,10 +94,6 @@ class EdgeSection:
     one_src: np.ndarray
     one_dst: np.ndarray
 
-    @property
-    def edge_count(self):
-        return self.zero_src.size + self.one_src.size
-
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class Trellis:
@@ -251,17 +247,17 @@ def _assemble(kind, m, masks, states):
     )
 
 
-def build_complete(matrix: TestMatrix, max_tests: int = MAX_TESTS) -> Trellis:
+def build_complete(matrix: TestMatrix) -> Trellis:
     """Build the complete trellis of a test matrix.
 
-    Guarded to `max_tests` pooled tests because the state space can reach
+    Guarded to MAX_TESTS pooled tests because the state space can reach
     2**m.  Only syndromes actually reachable are materialised, which for
     structured matrices is far fewer.  Raises SizeLimitError when the states
     would pass MAX_TRELLIS_BYTES.
     """
-    if matrix.m > max_tests:
+    if matrix.m > MAX_TESTS:
         raise SizeLimitError(
-            f"matrix has {matrix.m} tests; trellis construction is guarded to {max_tests}"
+            f"matrix has {matrix.m} tests; trellis construction is guarded to {MAX_TESTS}"
         )
     masks = matrix.column_masks.copy()
     return _assemble(Complete(), matrix.m, masks, _grow(matrix.m, masks))
@@ -281,7 +277,7 @@ def expurgate(trellis: Trellis, t) -> Trellis:
     return _assemble(Expurgated(final_state=target), trellis.m, masks, states)
 
 
-def build_reduced(matrix: TestMatrix, t, max_tests: int = MAX_TESTS) -> Trellis:
+def build_reduced(matrix: TestMatrix, t) -> Trellis:
     """Build the reduced trellis for outcome `t`: fired tests, undetermined elements.
 
     Silent tests force every element in their pools to be non-defective; those
@@ -292,9 +288,9 @@ def build_reduced(matrix: TestMatrix, t, max_tests: int = MAX_TESTS) -> Trellis:
     tv = as_bit_vector(t, matrix.m, "outcome vector")
     test_rows = np.flatnonzero(tv == 1).astype(np.int64)
     m0 = int(test_rows.size)
-    if m0 > max_tests:
+    if m0 > MAX_TESTS:
         raise SizeLimitError(
-            f"outcome fires {m0} tests; reduced construction is guarded to {max_tests}"
+            f"outcome fires {m0} tests; reduced construction is guarded to {MAX_TESTS}"
         )
     silent = np.flatnonzero(tv == 0)
     covered_mask = matrix.entries[silent, :].sum(axis=0) > 0
@@ -316,45 +312,29 @@ def build_reduced(matrix: TestMatrix, t, max_tests: int = MAX_TESTS) -> Trellis:
 def enumerate_paths(trellis: Trellis, max_paths: int = 1 << 20) -> np.ndarray:
     """List every root-to-final path as a row of edge labels.
 
-    Returns a (paths, n) uint8 array in depth-first order.  Guarded by
-    `max_paths` (counted exactly before materialising anything).  For reduced
-    trellises the columns correspond to `kind.kept_elements`.
+    Returns a (paths, n) uint8 array in lexicographic (depth-first) order.
+    The walk is breadth-first: each depth replaces every partial path by its
+    0-child and then its 1-child, which keeps the rows sorted.  Every state
+    has an edge onward, so the partial count never falls, and SizeLimitError
+    is raised at the first depth where it passes `max_paths`, before that
+    depth's rows exist.  The label rows take at most 2 x `max_paths` x n
+    bytes, plus a few int64 per path.  For reduced trellises the columns
+    correspond to `kind.kept_elements`.
     """
-    n = trellis.n
-    # count paths into each state with a float DP; exact below 2**53, and any
-    # overflow past the guard only makes the count larger
-    counts = [np.zeros(s.size) for s in trellis.states]
-    counts[0][:] = 1.0
-    for ell in range(n):
-        sec = trellis.sections[ell]
-        np.add.at(counts[ell + 1], sec.zero_dst, counts[ell][sec.zero_src])
-        np.add.at(counts[ell + 1], sec.one_dst, counts[ell][sec.one_src])
-    total = float(counts[n].sum())
-    if total > max_paths:
-        raise SizeLimitError(f"trellis has about {total:.3g} paths; guard is {max_paths}")
-    # adjacency per depth and source position: (label, dst) pairs
-    adj = []
-    for ell in range(n):
-        sec = trellis.sections[ell]
-        per_src = [[] for _ in range(trellis.states[ell].size)]
-        for s, d in zip(sec.zero_src, sec.zero_dst):
-            per_src[s].append((0, d))
-        for s, d in zip(sec.one_src, sec.one_dst):
-            per_src[s].append((1, d))
-        adj.append(per_src)
-    out = np.zeros((int(round(total)), n), dtype=np.uint8)
-    row = 0
-    labels = np.zeros(n, dtype=np.uint8)
-
-    def walk(depth, state_pos):
-        nonlocal row
-        if depth == n:
-            out[row] = labels
-            row += 1
-            return
-        for label, dst in adj[depth][state_pos]:
-            labels[depth] = label
-            walk(depth + 1, dst)
-
-    walk(0, 0)
-    return out
+    labels = np.zeros((1, 0), dtype=np.uint8)
+    at = np.zeros(1, dtype=np.int64)  # position of each partial path's last state
+    for ell, sec in enumerate(trellis.sections):
+        succ = np.full((trellis.states[ell].size, 2), -1, dtype=np.int64)
+        succ[sec.zero_src, 0] = sec.zero_dst
+        succ[sec.one_src, 1] = sec.one_dst
+        succ = succ[at].ravel()
+        child = np.flatnonzero(succ >= 0)
+        if child.size > max_paths:
+            raise SizeLimitError(
+                f"trellis has more than {max_paths} paths ({child.size} by depth {ell + 1})"
+            )
+        rows = np.empty((child.size, ell + 1), dtype=np.uint8)
+        labels.take(child >> 1, axis=0, out=rows[:, :ell], mode="clip")
+        rows[:, ell] = child & 1
+        labels, at = rows, succ[child]
+    return labels

@@ -3,10 +3,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import grouptrellis
-from grouptrellis import comp_decide, read_matrix, write_matrix
+from grouptrellis import (
+    comp_decide,
+    compute_syndrome,
+    ebch_64_57_parity_check,
+    read_matrix,
+    write_matrix,
+)
 from grouptrellis.cli import main
 
 
@@ -40,6 +47,28 @@ class TestApp:
               "--trellis", "reduced"])
         reduced = capsys.readouterr().out
         assert _table_rows(complete) == _table_rows(reduced)
+
+    def test_pruned_trellises_agree_with_complete(self, capsys):
+        x = np.zeros(64, dtype=np.uint8)
+        x[[3, 41]] = 1
+        outcome = "1011101"
+        assert "".join(map(str, compute_syndrome(ebch_64_57_parity_check(), x))) == outcome
+        tables = {}
+        for kind in ("complete", "expurgated", "reduced"):
+            assert main(["app", "--kind", "ebch", "--delta", "0.02", "--noiseless",
+                         "--outcome", outcome, "--trellis", kind]) == 0
+            tables[kind] = _table_rows(capsys.readouterr().out)
+
+        def columns(rows):  # element, decision, and lapp where it is infinite
+            return [(r[0], r[4], r[1] if "inf" in r[1] else "finite") for r in rows]
+
+        want = tables["complete"]
+        for kind in ("expurgated", "reduced"):
+            got = tables[kind]
+            assert columns(got) == columns(want)
+            finite = [(float(g[1]), float(w[1])) for g, w in zip(got, want) if "inf" not in w[1]]
+            assert finite
+            assert [g for g, _ in finite] == pytest.approx([w for _, w in finite], rel=1e-9)
 
     def test_finite_threshold_changes_decisions(self, toy_path, capsys):
         main(["app", "--matrix", toy_path, "--delta", "0.1", "--outcome", "101",

@@ -249,8 +249,9 @@ class TestAlphaCache:
 
 
 class TestStreamingBackward:
-    """The backward step sums two gathers when both labels leave every left
-    state (complete sections) and scatters otherwise (pruned sections)."""
+    """The backward step gathers each label in left-state order, with 0 where
+    a left state has no edge of that label, and takes one update for every
+    section, complete or pruned."""
 
     @pytest.mark.parametrize("noise", [Bsc(0.1), Noiseless()], ids=["bsc", "noiseless"])
     def test_table_rows_match_runs(self, noise):
@@ -297,14 +298,14 @@ class TestStreamingBackward:
 
     def test_pruned_trellises_match_the_oracle(self):
         rng = np.random.Generator(np.random.Philox(key=37))
-        scattered = 0
+        partial = 0
         for _ in range(12):
             m, n = int(rng.integers(1, 9)), int(rng.integers(1, 15))
             matrix = TestMatrix((rng.random((m, n)) < 0.3).astype(np.uint8))
             t = compute_syndrome(matrix, (rng.random(n) < 0.3).astype(np.uint8))
             reference = enumerate_posteriors(matrix, t, PRIOR, Noiseless())
             for trellis in (expurgate(build_complete(matrix), t), build_reduced(matrix, t)):
-                scattered += sum(
+                partial += sum(
                     min(sec.zero_src.size, sec.one_src.size) < trellis.states[ell].size
                     for ell, sec in enumerate(trellis.sections)
                 )
@@ -318,7 +319,7 @@ class TestStreamingBackward:
                 )
                 section = result.metrics.section_log_evidence  # empty when n = 0
                 assert np.allclose(section, section[:1], rtol=1e-12, atol=0)
-        assert scattered > 0
+        assert partial > 0
 
 
 class TestBranchMetric:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grouptrellis import (
+    MAX_TESTS,
     NotASyndromeError,
     SizeLimitError,
     TestMatrix,
@@ -62,8 +63,9 @@ class TestCompleteToy:
     def test_paths_spell_all_vectors(self, toy_matrix):
         paths = enumerate_paths(build_complete(toy_matrix))
         assert paths.shape == (64, 6)
-        got = {tuple(row) for row in paths}
-        assert got == {tuple(x) for x in all_vectors(6)}
+        rows = [tuple(row) for row in paths]
+        assert set(rows) == {tuple(x) for x in all_vectors(6)}
+        assert rows == sorted(rows)  # depth-first: 0-edges before 1-edges
 
 
 class TestEdgeStructure:
@@ -295,21 +297,24 @@ class TestConstructionRandom:
 
 
 class TestGuards:
-    def test_complete_guard_on_test_count(self, toy_matrix):
-        with pytest.raises(SizeLimitError):
-            build_complete(toy_matrix, max_tests=2)
+    def test_complete_guard_on_test_count(self):
+        with pytest.raises(SizeLimitError, match="guarded"):
+            build_complete(TestMatrix(np.eye(MAX_TESTS + 1, dtype=np.uint8)))
 
-    def test_reduced_guard_counts_fired_tests_only(self, toy_matrix):
-        trellis = build_reduced(toy_matrix, T_101, max_tests=2)
-        assert trellis.m == 2
-        with pytest.raises(SizeLimitError):
-            build_reduced(toy_matrix, [1, 1, 1], max_tests=2)
+    def test_reduced_guard_counts_fired_tests_only(self):
+        matrix = TestMatrix(np.eye(MAX_TESTS + 6, dtype=np.uint8))
+        t = np.zeros(matrix.m, dtype=np.uint8)
+        t[:2] = 1
+        assert build_reduced(matrix, t).m == 2
+        t[: MAX_TESTS + 1] = 1
+        with pytest.raises(SizeLimitError, match="guarded"):
+            build_reduced(matrix, t)
 
-    def test_raised_test_guard_meets_the_budget(self):
-        # 40 tests pass a caller-raised guard but need 2**40-entry tables
-        matrix = TestMatrix(np.eye(40, dtype=np.uint8))
+    def test_construction_tables_are_checked_up_front(self, monkeypatch):
+        # 17 tests need 9 B x 2**17 of tables, more than a 1 MiB budget
+        monkeypatch.setattr(trellis_module, "MAX_TRELLIS_BYTES", 1 << 20)
         with pytest.raises(SizeLimitError, match="construction tables"):
-            build_complete(matrix, max_tests=40)
+            build_complete(TestMatrix(np.eye(17, dtype=np.uint8)))
 
     def test_budget_is_checked_before_edges_exist(self, monkeypatch):
         budget = 4 << 20
@@ -325,8 +330,12 @@ class TestGuards:
         assert peak < budget
 
     def test_enumerate_paths_guard(self, toy_matrix):
+        complete = build_complete(toy_matrix)
         with pytest.raises(SizeLimitError):
-            enumerate_paths(build_complete(toy_matrix), max_paths=10)
+            enumerate_paths(complete, max_paths=10)
+        assert enumerate_paths(complete, max_paths=64).shape == (64, 6)
+        with pytest.raises(SizeLimitError):
+            enumerate_paths(complete, max_paths=63)
 
 
 class TestDump:

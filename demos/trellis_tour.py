@@ -61,11 +61,10 @@ for p in survivors:
 # trellis drops those elements and the silent tests, leaving a graph
 # over the fired tests only.
 reduced = build_reduced(matrix, outcome)
-kind = reduced.kind
 print()
-print("reduced trellis keeps elements", kind.kept_elements.tolist(),
-      "and tests", kind.test_rows.tolist())
-print("forced-clear elements:", kind.zero_covered.tolist())
+print("reduced trellis keeps elements", np.flatnonzero(reduced.kept).tolist(),
+      "and tests", np.flatnonzero(reduced.outcome).tolist())
+print("forced-clear elements:", np.flatnonzero(~reduced.kept).tolist())
 print("states per depth:", list(reduced.state_counts))
 
 # On a structured design the savings are visible at scale. For the

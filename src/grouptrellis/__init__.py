@@ -47,10 +47,7 @@ from .montecarlo import (
 )
 from .oracle import OracleResult, enumerate_posteriors
 from .trellis import (
-    Complete,
     EdgeSection,
-    Expurgated,
-    Reduced,
     Trellis,
     build_complete,
     build_reduced,
@@ -64,10 +61,8 @@ __all__ = [
     "MAX_TESTS",
     "MAX_TRELLIS_BYTES",
     "Bsc",
-    "Complete",
     "CustomNoise",
     "EdgeSection",
-    "Expurgated",
     "MatrixFormatError",
     "MetricTable",
     "Noiseless",
@@ -76,7 +71,6 @@ __all__ = [
     "OracleResult",
     "PosteriorResult",
     "Prior",
-    "Reduced",
     "RocCurve",
     "SizeLimitError",
     "TestMatrix",

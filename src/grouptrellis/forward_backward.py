@@ -45,9 +45,8 @@ from .model import (
     Prior,
     SizeLimitError,
     as_bit_vector,
-    index_to_bits,
 )
-from .trellis import Complete, Expurgated, Reduced, Trellis
+from .trellis import Trellis
 
 #: Generic (callable) likelihoods are evaluated state by state in Python, so
 #: trellis inference with them is restricted to small outcome spaces.
@@ -199,7 +198,7 @@ def _final_beta(trellis, noise, rows):
         raise SizeLimitError(
             f"generic likelihoods are guarded to {MAX_CUSTOM_NOISE_TESTS} tests, got {trellis.m}"
         )
-    beta_final = noise.likelihood_table(rows, trellis.final_states, trellis.m)
+    beta_final = noise.likelihood_table(rows, trellis.states[-1], trellis.m)
     dead = np.flatnonzero(beta_final.sum(axis=0) == 0.0)
     if dead.size:
         raise NotASyndromeError(
@@ -209,33 +208,20 @@ def _final_beta(trellis, noise, rows):
     return beta_final
 
 
-def _own_outcome(trellis):
-    """The noiseless outcome a pruned trellis encodes; None for a complete one."""
-    kind = trellis.kind
-    if isinstance(kind, Complete):
-        return None
-    if isinstance(kind, Expurgated):
-        return index_to_bits(kind.final_state, trellis.m)
-    if isinstance(kind, Reduced):
-        own = np.zeros(kind.full_m, dtype=np.uint8)
-        own[kind.test_rows] = 1
-        return own
-    raise TypeError(f"unknown trellis kind {type(kind).__name__}")
-
-
 def run(trellis: Trellis, prior: Prior, noise, t) -> PosteriorResult:
     """Exact posteriors for one observed outcome vector `t`.
 
-    Complete trellises accept any noise model; expurgated and reduced ones
-    encode a specific noiseless outcome, so `t` must match it and `noise`
+    A complete trellis (`trellis.outcome` is None) accepts any noise model; a
+    pruned one encodes `trellis.outcome`, so `t` must equal it and `noise`
     must be Noiseless.  Raises NotASyndromeError when the outcome has zero
     probability under the model.
 
-    This is the one-column case of the `posterior_table` pass; the result's
-    MetricTable carries the forward metrics and the per-section evidence but
-    no per-depth beta.
+    This is the one-column case of the `posterior_table` pass; its lapp is
+    scattered through `trellis.kept`, and the elements outside it come back
+    as `zero_forced` with lapp +inf.  The result's MetricTable carries the
+    forward metrics and the per-section evidence but no per-depth beta.
     """
-    own = _own_outcome(trellis)
+    own = trellis.outcome
     tv = as_bit_vector(t, trellis.m if own is None else own.size, "outcome vector")
     if own is None:
         beta_final = _final_beta(trellis, noise, tv[None, :])
@@ -246,21 +232,16 @@ def run(trellis: Trellis, prior: Prior, noise, t) -> PosteriorResult:
             raise ValueError("outcome differs from the one this trellis was pruned for")
         beta_final = np.ones((1, 1))
     lapp, log_ev, section_log_ev, (alpha, a_log) = _engine(trellis, prior, beta_final)
-    lapp, log_ev = lapp[:, 0], float(log_ev[0])
     metrics = MetricTable(
         alpha=alpha, alpha_log_scale=a_log, section_log_evidence=section_log_ev[:, 0]
     )
-    zero_forced = np.zeros(0, dtype=np.int64)
-    kind = trellis.kind
-    if isinstance(kind, Reduced):
-        full = np.full(kind.full_n, np.inf)
-        full[kind.kept_elements] = lapp
-        lapp = full
-        # silent tests pin their members to zero; fold the prior mass of those
-        # forced labels back into the evidence
-        log_ev += kind.zero_covered.size * math.log(1.0 - prior.delta)
-        zero_forced = kind.zero_covered.copy()
-    return PosteriorResult(lapp=lapp, log_evidence=log_ev, zero_forced=zero_forced, metrics=metrics)
+    full = np.full(trellis.kept.size, np.inf)
+    full[trellis.kept] = lapp[:, 0]
+    # silent tests pin the elements a reduced trellis drops to zero; fold the
+    # prior mass of those forced labels back into the evidence
+    zero_forced = np.flatnonzero(~trellis.kept)
+    log_ev = float(log_ev[0]) + zero_forced.size * math.log(1.0 - prior.delta)
+    return PosteriorResult(lapp=full, log_evidence=log_ev, zero_forced=zero_forced, metrics=metrics)
 
 
 def posterior_table(trellis: Trellis, prior: Prior, noise, outcomes) -> np.ndarray:
@@ -270,7 +251,7 @@ def posterior_table(trellis: Trellis, prior: Prior, noise, outcomes) -> np.ndarr
     complete trellis (the batch spans different final conditions).  With a
     noiseless channel every row must be a reachable syndrome.
     """
-    if not isinstance(trellis.kind, Complete):
+    if trellis.outcome is not None:
         raise ValueError("posterior tables require a complete trellis")
     rows = np.asarray(outcomes)
     if rows.ndim != 2 or rows.shape[1] != trellis.m:

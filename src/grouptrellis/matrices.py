@@ -16,8 +16,11 @@ from .model import MatrixFormatError, SizeLimitError, TestMatrix
 
 _GF64_PRIMITIVE = 0b1000011  # x**6 + x + 1, primitive over GF(2)
 
+#: Largest hypergraph incidence matrix built, in columns (k-subsets).
+MAX_COLUMNS = 1 << 20
 
-def hypergraph_incidence(vertices: int, subset_size: int, max_columns: int = 1 << 20) -> TestMatrix:
+
+def hypergraph_incidence(vertices: int, subset_size: int) -> TestMatrix:
     """Incidence matrix of the complete k-uniform hypergraph on `vertices` nodes.
 
     Tests are vertices; every k-subset of vertices becomes one element
@@ -29,9 +32,9 @@ def hypergraph_incidence(vertices: int, subset_size: int, max_columns: int = 1 <
             f"subset size must lie in [1, {vertices}], got {subset_size}"
         )
     count = math.comb(vertices, subset_size)
-    if count > max_columns:
+    if count > MAX_COLUMNS:
         raise SizeLimitError(
-            f"C({vertices}, {subset_size}) = {count} columns exceeds the guard {max_columns}"
+            f"C({vertices}, {subset_size}) = {count} columns exceeds the guard {MAX_COLUMNS}"
         )
     entries = np.zeros((vertices, count), dtype=np.uint8)
     for j, subset in enumerate(itertools.combinations(range(vertices), subset_size)):

@@ -13,6 +13,9 @@ import numpy as np
 
 from .model import Prior, SizeLimitError, TestMatrix, as_bit_vector
 
+#: Enumeration visits 2**n vectors, so populations are guarded to this size.
+MAX_ELEMENTS = 24
+
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class OracleResult:
@@ -36,9 +39,7 @@ class OracleResult:
             return np.log(self.mass0) - np.log(self.mass1)
 
 
-def enumerate_posteriors(
-    matrix: TestMatrix, t, prior: Prior, noise, max_elements: int = 24
-) -> OracleResult:
+def enumerate_posteriors(matrix: TestMatrix, t, prior: Prior, noise) -> OracleResult:
     """Sum prior times likelihood over all 2**n defectivity vectors.
 
     Vectors are enumerated in chunks as the binary expansions of 0..2**n - 1;
@@ -47,10 +48,8 @@ def enumerate_posteriors(
     separately so the split is exact even when one side dominates.
     """
     n = matrix.n
-    if n > max_elements:
-        raise SizeLimitError(
-            f"oracle enumeration is guarded to {max_elements} elements, got {n}"
-        )
+    if n > MAX_ELEMENTS:
+        raise SizeLimitError(f"oracle enumeration is guarded to {MAX_ELEMENTS} elements, got {n}")
     tv = as_bit_vector(t, matrix.m, "outcome vector")
     delta = prior.delta
     cols = np.arange(n, dtype=np.int64)

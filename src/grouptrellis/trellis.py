@@ -8,13 +8,17 @@ the partial syndrome generated by the first l elements, packed into an integer
 path from the root to a final state spells one defectivity vector, and the
 packed final state is its noiseless outcome.
 
-Three flavours are built here:
+Three flavours are built here, all as one `Trellis` record:
 
 * complete      - all 2**n defectivity vectors appear as paths;
 * expurgated    - only paths whose final state equals one observed noiseless
                   outcome survive;
 * reduced       - the expurgated trellis of the sub-problem restricted to the
                   fired tests and the elements not ruled out by silent tests.
+
+The record says which one it is by its data alone: `outcome` is the noiseless
+outcome a pruned trellis was built for (None for a complete one), and `kept`
+masks the elements it unrolls (all of them unless reduced).
 
 States are stored per depth as sorted arrays of packed syndromes; edges are
 stored positionally (indices into the adjacent state arrays), which lets the
@@ -51,36 +55,6 @@ from .model import (
 )
 
 
-@dataclasses.dataclass(frozen=True)
-class Complete:
-    """Trellis kind: every defectivity vector is a path."""
-
-
-@dataclasses.dataclass(frozen=True)
-class Expurgated:
-    """Trellis kind: only paths ending in one packed outcome survive."""
-
-    final_state: int
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class Reduced:
-    """Trellis kind: expurgated sub-trellis over fired tests and kept elements.
-
-    `test_rows` are the original indices of the fired tests (the trellis packs
-    only those bits), `kept_elements` the original element indices that the
-    trellis still tracks, and `zero_covered` the elements forced non-defective
-    because they sit in at least one silent test.
-    """
-
-    final_state: int
-    test_rows: np.ndarray
-    kept_elements: np.ndarray
-    zero_covered: np.ndarray
-    full_m: int
-    full_n: int
-
-
 @dataclasses.dataclass(frozen=True, eq=False)
 class EdgeSection:
     """Edges between two adjacent depths, stored positionally.
@@ -97,22 +71,26 @@ class EdgeSection:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class Trellis:
-    """Immutable trellis: per-depth packed states plus positional edge sections."""
+    """Immutable trellis: per-depth packed states plus positional edge sections.
 
-    kind: object
+    `outcome` is None for a complete trellis; a pruned trellis holds the
+    full-length noiseless outcome it was pruned for, and its paths end in
+    `states[-1][0]`.  `kept` masks the population elements the trellis
+    unrolls, one per section; it is all True except in a reduced trellis,
+    whose dropped elements sit in silent tests.  Both arrays are read-only.
+    """
+
     m: int
     column_masks: np.ndarray
     states: tuple
     sections: tuple
+    outcome: np.ndarray | None
+    kept: np.ndarray
 
     @property
     def n(self):
         """Number of element steps (sections)."""
         return len(self.sections)
-
-    @property
-    def final_states(self):
-        return self.states[-1]
 
     @property
     def state_counts(self):
@@ -215,7 +193,7 @@ def _prune(m, states, masks, final_state, tv):
     return kept[::-1]
 
 
-def _assemble(kind, m, masks, states):
+def _assemble(m, masks, states, outcome, kept):
     """Trellis whose edges are derived from adjacent sorted states and the masks.
 
     An edge exists wherever both its ends are states.  The right states'
@@ -242,9 +220,10 @@ def _assemble(kind, m, masks, states):
                 arrays += [src, dst[src]]
         member[right] = False
         sections.append(EdgeSection(*arrays))
-    return Trellis(
-        kind=kind, m=m, column_masks=masks, states=tuple(states), sections=tuple(sections)
-    )
+    for arr in (outcome, kept):
+        if arr is not None:
+            arr.setflags(write=False)
+    return Trellis(m, masks, tuple(states), tuple(sections), outcome, kept)
 
 
 def build_complete(matrix: TestMatrix) -> Trellis:
@@ -260,7 +239,7 @@ def build_complete(matrix: TestMatrix) -> Trellis:
             f"matrix has {matrix.m} tests; trellis construction is guarded to {MAX_TESTS}"
         )
     masks = matrix.column_masks.copy()
-    return _assemble(Complete(), matrix.m, masks, _grow(matrix.m, masks))
+    return _assemble(matrix.m, masks, _grow(matrix.m, masks), None, np.ones(matrix.n, bool))
 
 
 def expurgate(trellis: Trellis, t) -> Trellis:
@@ -268,13 +247,12 @@ def expurgate(trellis: Trellis, t) -> Trellis:
 
     Raises NotASyndromeError when `t` is not a reachable noiseless outcome.
     """
-    if not isinstance(trellis.kind, Complete):
+    if trellis.outcome is not None:
         raise ValueError("expurgation starts from a complete trellis")
     tv = as_bit_vector(t, trellis.m, "outcome vector")
-    target = bits_to_index(tv)
     masks = trellis.column_masks.copy()
-    states = _prune(trellis.m, trellis.states, masks, target, tv)
-    return _assemble(Expurgated(final_state=target), trellis.m, masks, states)
+    states = _prune(trellis.m, trellis.states, masks, bits_to_index(tv), tv)
+    return _assemble(trellis.m, masks, states, tv, trellis.kept)
 
 
 def build_reduced(matrix: TestMatrix, t) -> Trellis:
@@ -286,27 +264,15 @@ def build_reduced(matrix: TestMatrix, t) -> Trellis:
     tests, so the packing guard applies to the number of fired tests only.
     """
     tv = as_bit_vector(t, matrix.m, "outcome vector")
-    test_rows = np.flatnonzero(tv == 1).astype(np.int64)
-    m0 = int(test_rows.size)
+    m0 = int(tv.sum())
     if m0 > MAX_TESTS:
         raise SizeLimitError(
             f"outcome fires {m0} tests; reduced construction is guarded to {MAX_TESTS}"
         )
-    silent = np.flatnonzero(tv == 0)
-    covered_mask = matrix.entries[silent, :].sum(axis=0) > 0
-    zero_covered = np.flatnonzero(covered_mask).astype(np.int64)
-    kept = np.flatnonzero(~covered_mask).astype(np.int64)
-    kind = Reduced(
-        final_state=(1 << m0) - 1,
-        test_rows=test_rows,
-        kept_elements=kept,
-        zero_covered=zero_covered,
-        full_m=matrix.m,
-        full_n=matrix.n,
-    )
-    masks = _pack_rows(matrix.entries[np.ix_(test_rows, kept)].T, m0)
-    states = _prune(m0, _grow(m0, masks), masks, kind.final_state, tv)
-    return _assemble(kind, m0, masks, states)
+    kept = matrix.entries[tv == 0].sum(axis=0) == 0
+    masks = _pack_rows(matrix.entries[np.ix_(tv == 1, kept)].T, m0)
+    states = _prune(m0, _grow(m0, masks), masks, (1 << m0) - 1, tv)
+    return _assemble(m0, masks, states, tv, kept)
 
 
 def enumerate_paths(trellis: Trellis, max_paths: int = 1 << 20) -> np.ndarray:
@@ -319,7 +285,7 @@ def enumerate_paths(trellis: Trellis, max_paths: int = 1 << 20) -> np.ndarray:
     is raised at the first depth where it passes `max_paths`, before that
     depth's rows exist.  The label rows take at most 2 x `max_paths` x n
     bytes, plus a few int64 per path.  For reduced trellises the columns
-    correspond to `kind.kept_elements`.
+    correspond to `flatnonzero(trellis.kept)`.
     """
     labels = np.zeros((1, 0), dtype=np.uint8)
     at = np.zeros(1, dtype=np.int64)  # position of each partial path's last state

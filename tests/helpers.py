@@ -1,6 +1,8 @@
 """Deliberately naive reference routines the fast code is tested against."""
 
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -81,3 +83,53 @@ def walk_partial_syndromes(entries, x):
             state |= mask
         states.append(state)
     return states
+
+
+def subset_lattice_posteriors(entries, t, delta, eps=0.0):
+    """Exact lapp and log evidence of the OR channel by sums over test subsets.
+
+    Each test's outcome flips with probability `eps` (0 is noiseless).  For a
+    subset S of tests let c(S) count the columns inside S, so that
+    F(S) = Pr{syndrome within S} = (1 - delta)**(n - c(S)), and let
+    w(S) = prod_{i in S} q_i(1) * prod_{i not in S} (q_i(0) - q_i(1)) with
+    q_i(s) = Pr{t_i | test i's syndrome bit is s}.  Then
+    Pr{T = t} = sum_S F(S) w(S) and
+    Pr{T = t, X_l = 1} = delta * sum_{S contains column l} F(S) w(S).
+    c is a subset-sum and the second sum a superset-sum over the 2**m
+    subsets.  The terms alternate in sign, so all of it runs in exact
+    Fraction arithmetic (every float converts exactly); only the final logs
+    round.  Returns (lapp of length n, log evidence).
+    """
+    m, n = entries.shape
+    full = 1 << m
+    masks = [sum(int(entries[i][ell]) << i for i in range(m)) for ell in range(n)]
+    inside = [0] * full
+    for mask in masks:
+        inside[mask] += 1
+    for i in range(m):
+        for s in range(full):
+            if s >> i & 1:
+                inside[s] += inside[s ^ (1 << i)]
+    d, e = Fraction(delta), Fraction(eps)
+    weight = [Fraction(1)]
+    for i in range(m):
+        q1, q0 = (1 - e, e) if t[i] else (e, 1 - e)
+        weight = [w * (q0 - q1) for w in weight] + [w * q1 for w in weight]
+    clear = [(1 - d) ** k for k in range(n + 1)]
+    total = [w and clear[n - c] * w for w, c in zip(weight, inside)]
+    for i in range(m):
+        for s in range(full):
+            if not s >> i & 1:
+                total[s] += total[s | 1 << i]
+    evidence = total[0]
+    if evidence <= 0:
+        raise ValueError("the outcome has zero probability")
+
+    def log(x):
+        return math.log(x.numerator) - math.log(x.denominator) if x else -math.inf
+
+    lapp = []
+    for mask in masks:
+        u1 = d * total[mask]
+        lapp.append(log(evidence - u1) - log(u1))
+    return np.array(lapp), log(evidence)

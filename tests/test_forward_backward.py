@@ -371,14 +371,14 @@ class TestValidation:
 
         trellis = build_complete(toy_matrix)
         run(trellis, PRIOR, CustomNoise(q), T_101)
-        assert len(calls) == trellis.final_states.size
+        assert len(calls) == trellis.states[-1].size
 
 
 class TestPosteriorTable:
     def test_rows_match_individual_runs_noiseless(self, toy_matrix):
         trellis = build_complete(toy_matrix)
         outcomes = np.stack(
-            [np.array([(s >> i) & 1 for i in range(3)], np.uint8) for s in trellis.final_states]
+            [np.array([(s >> i) & 1 for i in range(3)], np.uint8) for s in trellis.states[-1]]
         )
         table = posterior_table(trellis, PRIOR, Noiseless(), outcomes)
         for k in range(outcomes.shape[0]):
@@ -402,9 +402,12 @@ class TestPosteriorTable:
             posterior_table(trellis, PRIOR, Noiseless(), np.array([[0, 0], [1, 0]], np.uint8))
 
     def test_requires_complete_kind(self, toy_matrix):
-        trellis = build_reduced(toy_matrix, T_101)
-        with pytest.raises(ValueError):
-            posterior_table(trellis, PRIOR, Noiseless(), T_101[None, :])
+        for trellis in (
+            build_reduced(toy_matrix, T_101),
+            expurgate(build_complete(toy_matrix), T_101),
+        ):
+            with pytest.raises(ValueError, match="complete trellis"):
+                posterior_table(trellis, PRIOR, Noiseless(), T_101[None, :])
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
     def test_non_binary_rows_rejected(self, toy_matrix, dtype):

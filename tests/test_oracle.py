@@ -9,11 +9,17 @@ from grouptrellis import (
     Prior,
     SizeLimitError,
     TestMatrix,
+    bernoulli_matrix,
     build_complete,
+    build_reduced,
+    compute_syndrome,
+    ebch_64_57_parity_check,
     enumerate_posteriors,
+    expurgate,
+    hypergraph_incidence,
     run,
 )
-from helpers import compatible_vectors, naive_posterior_masses
+from helpers import compatible_vectors, naive_posterior_masses, subset_lattice_posteriors
 
 T_101 = np.array([1, 0, 1], dtype=np.uint8)
 PRIOR = Prior(0.1)
@@ -91,7 +97,76 @@ class TestGuards:
         with pytest.raises(SizeLimitError):
             enumerate_posteriors(matrix, [1], PRIOR, Noiseless())
 
-    def test_guard_is_configurable(self):
-        matrix = TestMatrix(np.ones((1, 5), dtype=np.uint8))
-        with pytest.raises(SizeLimitError):
-            enumerate_posteriors(matrix, [1], PRIOR, Noiseless(), max_elements=4)
+
+DESIGNS = {
+    "ebch": ebch_64_57_parity_check,
+    "hypergraph": lambda: hypergraph_incidence(9, 3),
+    "bernoulli": lambda: bernoulli_matrix(12, 48, 0.15, 0),
+}
+
+
+def _syndrome_of(matrix, defectives):
+    x = np.zeros(matrix.n, dtype=np.uint8)
+    x[defectives] = 1
+    return compute_syndrome(matrix, x)
+
+
+def _assert_matches(result, lapp, log_evidence):
+    assert np.array_equal(np.isposinf(result.lapp), np.isposinf(lapp))
+    assert np.array_equal(np.isneginf(result.lapp), np.isneginf(lapp))
+    finite = np.isfinite(lapp)
+    assert np.allclose(result.lapp[finite], lapp[finite], rtol=1e-10, atol=0)
+    assert result.log_evidence == pytest.approx(log_evidence, rel=0, abs=1e-10)
+
+
+class TestSubsetLatticeOracle:
+    """The engine against exact sums over test subsets, at full design size."""
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_oracle_matches_naive_enumeration(self, eps):
+        rng = np.random.Generator(np.random.Philox(key=13))
+        checked = 0
+        for _ in range(20):
+            m, n = int(rng.integers(1, 5)), int(rng.integers(1, 8))
+            entries = (rng.random((m, n)) < 0.5).astype(np.uint8)
+            t = (rng.random(m) < 0.5).astype(np.uint8)
+
+            def q(tv, sv):
+                flips = int((tv != sv).sum())
+                return eps**flips * (1.0 - eps) ** (m - flips)
+
+            mass0, mass1 = naive_posterior_masses(entries, t, PRIOR.delta, q)
+            if not (mass0 + mass1).any():
+                with pytest.raises(ValueError):
+                    subset_lattice_posteriors(entries, t, PRIOR.delta, eps)
+                continue
+            lapp, log_evidence = subset_lattice_posteriors(entries, t, PRIOR.delta, eps)
+            with np.errstate(divide="ignore"):
+                want = np.log(mass0) - np.log(mass1)
+            assert np.array_equal(np.isinf(lapp), np.isinf(want))
+            assert np.array_equal(lapp[np.isinf(want)], want[np.isinf(want)])
+            finite = np.isfinite(want)
+            assert np.allclose(lapp[finite], want[finite], rtol=1e-10, atol=1e-12)
+            assert log_evidence == pytest.approx(math.log(mass0[0] + mass1[0]), abs=1e-10)
+            checked += 1
+        assert checked >= 10
+
+    @pytest.mark.parametrize("design", sorted(DESIGNS))
+    def test_complete_bsc(self, design):
+        matrix = DESIGNS[design]()
+        t = _syndrome_of(matrix, [3, 41])
+        t[1] ^= 1
+        lapp, log_evidence = subset_lattice_posteriors(matrix.entries, t, 0.05, 0.05)
+        result = run(build_complete(matrix), Prior(0.05), Bsc(0.05), t)
+        _assert_matches(result, lapp, log_evidence)
+
+    @pytest.mark.parametrize("design", sorted(DESIGNS))
+    def test_every_flavour_noiseless(self, design):
+        matrix = DESIGNS[design]()
+        complete = build_complete(matrix)
+        for defectives in ([3, 41], [0, 17, 30]):
+            t = _syndrome_of(matrix, defectives)
+            lapp, log_evidence = subset_lattice_posteriors(matrix.entries, t, 0.05)
+            assert np.isinf(lapp).any() and np.isfinite(lapp).any()
+            for trellis in (complete, expurgate(complete, t), build_reduced(matrix, t)):
+                _assert_matches(run(trellis, Prior(0.05), Noiseless(), t), lapp, log_evidence)

@@ -12,6 +12,7 @@ from grouptrellis import (
     SizeLimitError,
     TestMatrix,
     bernoulli_matrix,
+    bits_to_index,
     build_complete,
     build_reduced,
     enumerate_paths,
@@ -131,8 +132,9 @@ class TestExpurgatedToy:
 
     def test_final_state_is_the_outcome(self, toy_matrix):
         trellis = expurgate(build_complete(toy_matrix), T_101)
-        assert trellis.final_states.tolist() == [5]
-        assert trellis.kind.final_state == 5
+        assert trellis.states[-1].tolist() == [5]
+        assert trellis.outcome.tolist() == T_101.tolist()
+        assert bits_to_index(trellis.outcome) == trellis.states[-1][0] == 5
 
     def test_no_dead_ends(self, toy_matrix):
         trellis = expurgate(build_complete(toy_matrix), T_101)
@@ -153,9 +155,12 @@ class TestExpurgatedToy:
             expurgate(build_complete(twin), [1, 0])
 
     def test_requires_complete_trellis(self, toy_matrix):
-        trellis = expurgate(build_complete(toy_matrix), T_101)
-        with pytest.raises(ValueError):
-            expurgate(trellis, T_101)
+        for trellis in (
+            expurgate(build_complete(toy_matrix), T_101),
+            build_reduced(toy_matrix, T_101),
+        ):
+            with pytest.raises(ValueError, match="complete trellis"):
+                expurgate(trellis, T_101)
 
 
 class TestReducedToy:
@@ -163,31 +168,31 @@ class TestReducedToy:
         trellis = build_reduced(toy_matrix, T_101)
         assert trellis.n == 3
         assert trellis.m == 2
-        assert trellis.kind.test_rows.tolist() == [0, 2]
-        assert trellis.kind.kept_elements.tolist() == [0, 3, 5]
-        assert trellis.kind.zero_covered.tolist() == [1, 2, 4]
-        assert trellis.kind.final_state == 3
+        assert np.flatnonzero(trellis.outcome).tolist() == [0, 2]
+        assert np.flatnonzero(trellis.kept).tolist() == [0, 3, 5]
+        assert np.flatnonzero(~trellis.kept).tolist() == [1, 2, 4]
+        assert trellis.states[-1].tolist() == [3]
         assert all(count <= 4 for count in trellis.state_counts)
 
     def test_paths_match_expurgated_on_kept_elements(self, toy_matrix):
         reduced = build_reduced(toy_matrix, T_101)
-        kept = reduced.kind.kept_elements
+        kept = np.flatnonzero(reduced.kept)
         sub_paths = {tuple(row) for row in enumerate_paths(reduced)}
         full_paths = enumerate_paths(expurgate(build_complete(toy_matrix), T_101))
         assert sub_paths == {tuple(row[kept]) for row in full_paths}
         # dropped elements are identically zero on every full path
-        dropped = reduced.kind.zero_covered
+        dropped = np.flatnonzero(~reduced.kept)
         assert not full_paths[:, dropped].any()
 
     def test_all_silent_outcome(self, toy_matrix):
         trellis = build_reduced(toy_matrix, [0, 0, 0])
         assert trellis.n == 0
-        assert trellis.kind.zero_covered.tolist() == [0, 1, 2, 3, 4, 5]
+        assert np.flatnonzero(~trellis.kept).tolist() == [0, 1, 2, 3, 4, 5]
 
     def test_zero_column_survives_silent_tests(self):
         mat = TestMatrix(np.array([[1, 0]], dtype=np.uint8))
         trellis = build_reduced(mat, [0])
-        assert trellis.kind.kept_elements.tolist() == [1]
+        assert np.flatnonzero(trellis.kept).tolist() == [1]
         assert trellis.n == 1 and trellis.m == 0
 
     def test_unsatisfiable_fired_test_rejected(self):
@@ -195,6 +200,24 @@ class TestReducedToy:
         # t = (0, 1): test 0 silent clears both elements, test 1 cannot fire
         with pytest.raises(NotASyndromeError):
             build_reduced(mat, [0, 1])
+
+
+class TestRecord:
+    def test_outcome_and_kept_are_read_only(self, toy_matrix):
+        t = T_101.copy()
+        complete = build_complete(toy_matrix)
+        assert complete.outcome is None
+        assert complete.kept.dtype == bool and complete.kept.tolist() == [True] * 6
+        pruned = [expurgate(complete, t), build_reduced(toy_matrix, t)]
+        assert pruned[0].kept is complete.kept
+        for trellis in [complete, *pruned]:
+            with pytest.raises(ValueError, match="read-only"):
+                trellis.kept[0] = not trellis.kept[0]
+        for trellis in pruned:
+            assert trellis.outcome.dtype == np.uint8
+            with pytest.raises(ValueError, match="read-only"):
+                trellis.outcome[1] = 1
+        assert t.flags.writeable  # the caller's outcome is copied, not frozen
 
 
 @st.composite
@@ -223,10 +246,10 @@ class TestPrunedRandom:
             paths = enumerate_paths(expurgate(complete, t))
             assert sorted(map(tuple, paths)) == sorted(map(tuple, want))
             reduced = build_reduced(matrix, t)
-            kept = reduced.kind.kept_elements
+            kept = np.flatnonzero(reduced.kept)
             paths = enumerate_paths(reduced)
             assert sorted(map(tuple, paths)) == sorted(map(tuple, want[:, kept]))
-            assert not want[:, reduced.kind.zero_covered].any()
+            assert not want[:, np.flatnonzero(~reduced.kept)].any()
 
 
 def _prefix_syndromes(entries, xs):
@@ -289,11 +312,9 @@ class TestConstructionRandom:
                 continue
             _assert_construction(expurgate(complete, t), prefix[compatible])
             reduced = build_reduced(matrix, t)
-            kind = reduced.kind
-            sub = entries[np.ix_(kind.test_rows, kind.kept_elements)]
-            _assert_construction(
-                reduced, _prefix_syndromes(sub, xs[compatible][:, kind.kept_elements])
-            )
+            fired, kept = np.flatnonzero(reduced.outcome), np.flatnonzero(reduced.kept)
+            sub = entries[np.ix_(fired, kept)]
+            _assert_construction(reduced, _prefix_syndromes(sub, xs[compatible][:, kept]))
 
 
 class TestGuards:

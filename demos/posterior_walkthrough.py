@@ -67,7 +67,7 @@ assert np.isinf(result.lapp[[0, 2, 5]]).all()
 print()
 print("log evidence:", result.log_evidence)
 print("per-section spread:",
-      float(np.ptp(result.metrics.section_log_evidence)))
+      float(np.ptp(result.section_log_evidence)))
 
 # The expurgated trellis keeps only paths consistent with this exact
 # outcome, and the reduced trellis additionally strips the silent

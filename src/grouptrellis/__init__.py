@@ -8,7 +8,6 @@ Carlo) to study the false-alarm / missed-detection trade-off.
 
 from .decision import ThresholdRule, comp_decide, decide, llr_values
 from .forward_backward import (
-    MetricTable,
     PosteriorResult,
     branch_metric,
     posterior_pairs,
@@ -41,7 +40,6 @@ from .montecarlo import (
     OperatingPoint,
     RocCurve,
     default_threshold_grid,
-    estimate_operating_point,
     randomized_interpolation,
     sweep_roc,
 )
@@ -64,7 +62,6 @@ __all__ = [
     "CustomNoise",
     "EdgeSection",
     "MatrixFormatError",
-    "MetricTable",
     "Noiseless",
     "NotASyndromeError",
     "OperatingPoint",
@@ -86,7 +83,6 @@ __all__ = [
     "ebch_64_57_parity_check",
     "enumerate_paths",
     "enumerate_posteriors",
-    "estimate_operating_point",
     "expurgate",
     "hypergraph_incidence",
     "index_to_bits",

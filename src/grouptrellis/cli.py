@@ -292,10 +292,7 @@ def _build_parser():
         "--tie", choices=["defective", "clear"], default="defective", help="tie handling at thresholds"
     )
     p_roc.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help=f"simulation threads (default: ${montecarlo.WORKERS_ENV} or 1)",
+        "--workers", type=int, default=1, help="simulation threads (default 1)"
     )
     p_roc.add_argument("--output", default="-", help="output CSV path, '-' for stdout")
     p_roc.set_defaults(func=cmd_roc)

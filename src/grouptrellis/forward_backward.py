@@ -38,19 +38,8 @@ import weakref
 
 import numpy as np
 
-from .model import (
-    CustomNoise,
-    Noiseless,
-    NotASyndromeError,
-    Prior,
-    SizeLimitError,
-    as_bit_vector,
-)
+from .model import Noiseless, NotASyndromeError, Prior, as_bit_vector
 from .trellis import Trellis
-
-#: Generic (callable) likelihoods are evaluated state by state in Python, so
-#: trellis inference with them is restricted to small outcome spaces.
-MAX_CUSTOM_NOISE_TESTS = 16
 
 #: Trellis -> (prevalence, forward pass) of its latest use.  One entry per
 #: trellis bounds the cache by the trellis's own state count, and an entry
@@ -66,36 +55,23 @@ def branch_metric(label, prior: Prior) -> float:
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
-class MetricTable:
-    """Scaled per-depth forward metrics and the per-section log evidence.
-
-    True forward metrics are recovered as alpha[l] * exp(alpha_log_scale[l]).
-    The scaled alphas sum to one at every depth by construction; they are
-    shared by every result on the same trellis and prior, so they are
-    read-only.  The backward pass keeps no per-depth beta.
-    section_log_evidence[l] is log(U0_l + U1_l); it is the same at every
-    section up to rounding.
-    """
-
-    alpha: tuple
-    alpha_log_scale: np.ndarray
-    section_log_evidence: np.ndarray
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
 class PosteriorResult:
-    """Per-element posterior log-ratios plus evidence and inspection data.
+    """Per-element posterior log-ratios, the evidence and the forward metrics.
 
     lapp[l] = log Pr{X_l = 0 | T = t} - log Pr{X_l = 1 | T = t}; +inf marks an
-    element certainly non-defective, -inf certainly defective.  `zero_forced`
-    lists elements a reduced trellis ruled out structurally (members of silent
-    tests); their lapp is +inf.
+    element certainly non-defective, -inf certainly defective.  log_evidence
+    is log Pr{T = t}.  True forward metrics are alpha[l] *
+    exp(alpha_log_scale[l]); the scaled alphas sum to one at every depth and
+    are shared by every result on the same trellis and prior, so they are
+    read-only.  section_log_evidence[l] is log(U0_l + U1_l) of the l-th
+    section; it is the same at every section up to rounding.
     """
 
     lapp: np.ndarray
     log_evidence: float
-    zero_forced: np.ndarray
-    metrics: MetricTable
+    alpha: tuple
+    alpha_log_scale: np.ndarray
+    section_log_evidence: np.ndarray
 
 
 def _forward(trellis, prior):
@@ -194,10 +170,6 @@ def _final_beta(trellis, noise, rows):
     Raises NotASyndromeError when a row has zero probability at every
     reachable syndrome.
     """
-    if isinstance(noise, CustomNoise) and trellis.m > MAX_CUSTOM_NOISE_TESTS:
-        raise SizeLimitError(
-            f"generic likelihoods are guarded to {MAX_CUSTOM_NOISE_TESTS} tests, got {trellis.m}"
-        )
     beta_final = noise.likelihood_table(rows, trellis.states[-1], trellis.m)
     dead = np.flatnonzero(beta_final.sum(axis=0) == 0.0)
     if dead.size:
@@ -216,10 +188,11 @@ def run(trellis: Trellis, prior: Prior, noise, t) -> PosteriorResult:
     must be Noiseless.  Raises NotASyndromeError when the outcome has zero
     probability under the model.
 
-    This is the one-column case of the `posterior_table` pass; its lapp is
-    scattered through `trellis.kept`, and the elements outside it come back
-    as `zero_forced` with lapp +inf.  The result's MetricTable carries the
-    forward metrics and the per-section evidence but no per-depth beta.
+    This is the one-column case of the `posterior_table` pass.  Its lapp is
+    scattered through `trellis.kept`; the elements outside it (members of
+    silent tests, `np.flatnonzero(~trellis.kept)`) get lapp +inf, and the
+    prior mass of their forced labels is folded into the log evidence.  The
+    section evidence covers the kept elements only.
     """
     own = trellis.outcome
     tv = as_bit_vector(t, trellis.m if own is None else own.size, "outcome vector")
@@ -232,16 +205,16 @@ def run(trellis: Trellis, prior: Prior, noise, t) -> PosteriorResult:
             raise ValueError("outcome differs from the one this trellis was pruned for")
         beta_final = np.ones((1, 1))
     lapp, log_ev, section_log_ev, (alpha, a_log) = _engine(trellis, prior, beta_final)
-    metrics = MetricTable(
-        alpha=alpha, alpha_log_scale=a_log, section_log_evidence=section_log_ev[:, 0]
-    )
     full = np.full(trellis.kept.size, np.inf)
     full[trellis.kept] = lapp[:, 0]
-    # silent tests pin the elements a reduced trellis drops to zero; fold the
-    # prior mass of those forced labels back into the evidence
-    zero_forced = np.flatnonzero(~trellis.kept)
-    log_ev = float(log_ev[0]) + zero_forced.size * math.log(1.0 - prior.delta)
-    return PosteriorResult(lapp=full, log_evidence=log_ev, zero_forced=zero_forced, metrics=metrics)
+    forced = int((~trellis.kept).sum())
+    return PosteriorResult(
+        lapp=full,
+        log_evidence=float(log_ev[0]) + forced * math.log(1.0 - prior.delta),
+        alpha=alpha,
+        alpha_log_scale=a_log,
+        section_log_evidence=section_log_ev[:, 0],
+    )
 
 
 def posterior_table(trellis: Trellis, prior: Prior, noise, outcomes) -> np.ndarray:

@@ -27,6 +27,10 @@ MAX_TESTS = 24
 #: edge array exists; a larger construction raises SizeLimitError.
 MAX_TRELLIS_BYTES = 2 << 30
 
+#: Generic (callable) likelihoods are evaluated state by state in Python, so
+#: their tables are restricted to small outcome spaces.
+MAX_CUSTOM_NOISE_TESTS = 16
+
 
 class NotASyndromeError(ValueError):
     """Observed outcome vector lies outside the OR-channel image of the matrix."""
@@ -231,8 +235,8 @@ class CustomNoise(NoiseModel):
     """Arbitrary memoryless observation channel given as a callable Q(t, s).
 
     `q` maps two uint8 bit vectors (observed, syndrome) to a probability.
-    Batched evaluation falls back to a Python loop, so trellis inference with
-    a custom channel is guarded to small m by the caller.
+    Batched evaluation falls back to a Python loop, so `likelihood_table` is
+    guarded to MAX_CUSTOM_NOISE_TESTS tests.
     """
 
     q: Callable[[np.ndarray, np.ndarray], float]
@@ -246,6 +250,10 @@ class CustomNoise(NoiseModel):
         return value
 
     def likelihood_table(self, outcomes, state_indices, m):
+        if m > MAX_CUSTOM_NOISE_TESTS:
+            raise SizeLimitError(
+                f"generic likelihoods are guarded to {MAX_CUSTOM_NOISE_TESTS} tests, got {m}"
+            )
         rows = [as_bit_vector(t, m, "observed vector") for t in np.asarray(outcomes)]
         syndromes = [index_to_bits(s, m) for s in np.asarray(state_indices, dtype=np.int64)]
         table = [[self.likelihood(t, s) for t in rows] for s in syndromes]

@@ -30,13 +30,11 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from .decision import ThresholdRule
 from .forward_backward import posterior_table
 from .model import Bsc, Noiseless, Prior, TestMatrix, _pack_rows
 from .trellis import build_complete
@@ -47,8 +45,11 @@ CHUNK_TRIALS = 8192
 #: Counter advance between chunk lanes; huge so lanes cannot overlap.
 _SEED_STRIDE = 1 << 40
 
-#: Environment variable consulted when `workers` is not given explicitly.
-WORKERS_ENV = "GROUPTRELLIS_WORKERS"
+#: Thresholds in the default grid, the two infinite ones included.
+GRID_POINTS = 61
+
+#: Half-width of the default grid's finite part in the LLR domain.
+GRID_LLR_SPAN = 15.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -126,26 +127,28 @@ def noise_label(noise) -> str:
     return type(noise).__name__.lower()
 
 
-def default_threshold_grid(prior: Prior, count: int = 61, llr_span: float = 15.0) -> np.ndarray:
-    """Threshold grid: -inf, `count - 2` thresholds even in the LLR domain, +inf."""
-    if count < 3:
-        raise ValueError(f"grid needs at least 3 thresholds, got {count}")
+def default_threshold_grid(prior: Prior) -> np.ndarray:
+    """Threshold grid: -inf, GRID_POINTS - 2 thresholds even in the LLR domain, +inf.
+
+    The finite thresholds span +-GRID_LLR_SPAN around the prior log-ratio.
+    """
+    points, span = GRID_POINTS, GRID_LLR_SPAN
     shift = math.log((1.0 - prior.delta) / prior.delta)
-    finite = np.linspace(-llr_span, llr_span, count - 2) + shift
+    finite = np.linspace(-span, span, points - 2) + shift
     return np.concatenate([[-math.inf], finite, [math.inf]])
 
 
-def _sample_chunk(matrix, prior, noise, seed, chunk_index, count):
+def _sample_chunk(matrix, prior, noise, seed, chunk_index, trials):
     """Draw one chunk of trials: (defectivity rows, packed outcomes, outcome rows)."""
     bitgen = np.random.Philox(key=seed)
     bitgen.advance(chunk_index * _SEED_STRIDE)
     rng = np.random.Generator(bitgen)
     # defectivity first, then channel flips: with epsilon = 0 the flip mask is
     # all-false and the draw order makes estimates match the noiseless channel
-    x = rng.random((count, matrix.n)) < prior.delta
+    x = rng.random((trials, matrix.n)) < prior.delta
     syndromes = (x.astype(np.int32) @ matrix.entries.T.astype(np.int32)) > 0
     if isinstance(noise, Bsc):
-        outcomes = syndromes ^ (rng.random((count, matrix.m)) < noise.epsilon)
+        outcomes = syndromes ^ (rng.random((trials, matrix.m)) < noise.epsilon)
     else:
         outcomes = syndromes
     bits = outcomes.astype(np.uint8)
@@ -165,27 +168,13 @@ def _count_events(lapp, x, thresholds, tie_defective):
     return fa.astype(np.int64), sorted_md.size - md.astype(np.int64), sorted_fa.size, sorted_md.size
 
 
-def _resolve_workers(workers):
-    if workers is not None:
-        if workers < 1:
-            raise ValueError(f"worker count must be positive, got {workers}")
-        return workers
-    text = os.environ.get(WORKERS_ENV, "1")
-    try:
-        workers = int(text)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {text!r}")
-    return workers
-
-
 def _simulate(matrix, prior, noise, thresholds, tie_defective, trials, seed, workers):
     if trials < 1:
         raise ValueError(f"trial count must be positive, got {trials}")
     if not isinstance(noise, (Noiseless, Bsc)):
         raise ValueError("simulation draws outcomes only for noiseless or BSC channels")
-    workers = _resolve_workers(workers)
+    if workers < 1:
+        raise ValueError(f"worker count must be positive, got {workers}")
     trellis = build_complete(matrix)
     thresholds = np.asarray(thresholds, dtype=float)
     jobs = [
@@ -233,21 +222,6 @@ def _simulate(matrix, prior, noise, thresholds, tie_defective, trials, seed, wor
     return fa_events, md_events, fa_trials, md_trials
 
 
-def estimate_operating_point(
-    matrix: TestMatrix,
-    prior: Prior,
-    noise,
-    rule: ThresholdRule,
-    trials: int,
-    seed: int,
-    workers: int | None = None,
-) -> OperatingPoint:
-    """Monte Carlo estimate of (p_fa, p_md) for one threshold rule."""
-    return sweep_roc(
-        matrix, prior, noise, [rule.threshold], trials, seed, rule.tie_defective, workers
-    ).points[0]
-
-
 def sweep_roc(
     matrix: TestMatrix,
     prior: Prior,
@@ -256,14 +230,16 @@ def sweep_roc(
     trials: int,
     seed: int,
     tie_defective: bool = True,
-    workers: int | None = None,
+    workers: int = 1,
     matrix_label: str = "matrix",
 ) -> RocCurve:
     """Estimate an ROC curve over a grid of thresholds with shared trials.
 
     All thresholds reuse the same simulated trials, so the curve is exactly
     monotone up to ties.  Thresholds are sorted ascending; duplicates are
-    rejected to keep CSV rows unambiguous.  Memory is
+    rejected to keep CSV rows unambiguous.  One threshold rule's operating
+    point is `.points[0]` of a sweep over `[rule.threshold]` with
+    `rule.tie_defective`.  Memory is
     O(workers x CHUNK_TRIALS x n + distinct outcomes x n).
     """
     lam = np.sort(np.asarray(thresholds, dtype=float))

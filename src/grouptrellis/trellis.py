@@ -40,6 +40,7 @@ SizeLimitError before any edge array exists.
 from __future__ import annotations
 
 import dataclasses
+import mmap
 
 import numpy as np
 
@@ -133,6 +134,24 @@ _STATE_BYTES = 40
 _TABLE_BYTES = 9
 
 
+#: Bool tables from this many entries up are mapped on fresh pages.
+_MAPPED_MARKS = 1 << 21
+
+
+def _zeroed_marks(m):
+    """An all-False 2**m bool table.
+
+    A large table is mapped on fresh anonymous pages, which the kernel zeroes
+    as they are first touched, so it costs only the pages where states land.
+    `np.zeros` may instead take it from heap memory an earlier build freed
+    and zero-fill all of it.  A table below _MAPPED_MARKS entries is cheaper
+    to zero than to map.
+    """
+    if 1 << m < _MAPPED_MARKS:
+        return np.zeros(1 << m, dtype=bool)
+    return np.frombuffer(mmap.mmap(-1, 1 << m), dtype=bool)
+
+
 def _grow(m, masks):
     """Sorted partial syndromes reachable from the root at every depth.
 
@@ -148,7 +167,7 @@ def _grow(m, masks):
             f"{m} tests need 2**{m}-entry construction tables of {charged} bytes; "
             f"the trellis budget is {MAX_TRELLIS_BYTES} bytes"
         )
-    seen = np.zeros(1 << m, dtype=bool)
+    seen = _zeroed_marks(m)
     seen[0] = True
     left = np.zeros(1, dtype=np.int64)
     states = [left]
@@ -183,7 +202,7 @@ def _prune(m, states, masks, final_state, tv):
         raise NotASyndromeError(
             f"outcome {''.join(map(str, tv))} is not a reachable noiseless syndrome"
         )
-    live = np.zeros(1 << m, dtype=bool)
+    live = _zeroed_marks(m)
     live[final_state] = True
     kept = [np.array([final_state], dtype=np.int64)]
     for ell in range(len(masks) - 1, -1, -1):
@@ -202,7 +221,7 @@ def _assemble(m, masks, states, outcome, kept):
     (always, in a complete trellis) shares one `arange` as its source array.
     """
     pos = np.empty(1 << m, dtype=np.int64)
-    member = np.zeros(1 << m, dtype=bool)
+    member = _zeroed_marks(m)
     sections = []
     for ell, mask in enumerate(masks):
         left, right = states[ell], states[ell + 1]
@@ -275,15 +294,19 @@ def build_reduced(matrix: TestMatrix, t) -> Trellis:
     return _assemble(m0, masks, states, tv, kept)
 
 
-def enumerate_paths(trellis: Trellis, max_paths: int = 1 << 20) -> np.ndarray:
+#: Largest number of paths `enumerate_paths` lists.
+MAX_PATHS = 1 << 20
+
+
+def enumerate_paths(trellis: Trellis) -> np.ndarray:
     """List every root-to-final path as a row of edge labels.
 
     Returns a (paths, n) uint8 array in lexicographic (depth-first) order.
     The walk is breadth-first: each depth replaces every partial path by its
     0-child and then its 1-child, which keeps the rows sorted.  Every state
     has an edge onward, so the partial count never falls, and SizeLimitError
-    is raised at the first depth where it passes `max_paths`, before that
-    depth's rows exist.  The label rows take at most 2 x `max_paths` x n
+    is raised at the first depth where it passes MAX_PATHS, before that
+    depth's rows exist.  The label rows take at most 2 x MAX_PATHS x n
     bytes, plus a few int64 per path.  For reduced trellises the columns
     correspond to `flatnonzero(trellis.kept)`.
     """
@@ -295,9 +318,9 @@ def enumerate_paths(trellis: Trellis, max_paths: int = 1 << 20) -> np.ndarray:
         succ[sec.one_src, 1] = sec.one_dst
         succ = succ[at].ravel()
         child = np.flatnonzero(succ >= 0)
-        if child.size > max_paths:
+        if child.size > MAX_PATHS:
             raise SizeLimitError(
-                f"trellis has more than {max_paths} paths ({child.size} by depth {ell + 1})"
+                f"trellis has more than {MAX_PATHS} paths ({child.size} by depth {ell + 1})"
             )
         rows = np.empty((child.size, ell + 1), dtype=np.uint8)
         labels.take(child >> 1, axis=0, out=rows[:, :ell], mode="clip")

@@ -27,7 +27,6 @@ from grouptrellis import (
     default_threshold_grid,
     ebch_64_57_parity_check,
     enumerate_posteriors,
-    estimate_operating_point,
     expurgate,
     hypergraph_incidence,
     posterior_pairs,
@@ -142,7 +141,9 @@ def test_criterion_3_comp_recovery():
             for bits in seen.values()
         )
         # and the simulation harness measures exactly zero missed detections
-        point = estimate_operating_point(matrix, prior, Noiseless(), rule, TRIALS, seed=303)
+        point = sweep_roc(
+            matrix, prior, Noiseless(), [rule.threshold], TRIALS, 303, rule.tie_defective
+        ).points[0]
         ok = matches and md_events == 0 and point.md_events == 0
         ok_all = ok_all and ok
         details.append((label, matches, md_events, point.md_events, len(seen)))
@@ -231,10 +232,10 @@ def test_criterion_6_consistency_identities():
         complete = build_complete(matrix)
         res = run(complete, prior, Noiseless(), t)
         alpha_ok = all(
-            abs(float(a.sum()) - 1.0) < 1e-12 for a in res.metrics.alpha
+            abs(float(a.sum()) - 1.0) < 1e-12 for a in res.alpha
         )
         section_ok = np.allclose(
-            res.metrics.section_log_evidence, res.log_evidence, rtol=1e-12, atol=1e-12
+            res.section_log_evidence, res.log_evidence, rtol=1e-12, atol=1e-12
         )
         res_e = run(expurgate(complete, t), prior, Noiseless(), t)
         res_r = run(build_reduced(matrix, t), prior, Noiseless(), t)
@@ -258,7 +259,7 @@ def test_criterion_6_consistency_identities():
         res_s = run(complete, prior, scaled, noisy_t)
         scale_ok = np.array_equal(res_n.lapp, res_s.lapp)
         noisy_section_ok = np.allclose(
-            res_n.metrics.section_log_evidence, res_n.log_evidence, rtol=1e-12, atol=1e-12
+            res_n.section_log_evidence, res_n.log_evidence, rtol=1e-12, atol=1e-12
         )
         good = alpha_ok and section_ok and kinds_ok and bsc0_ok and scale_ok and noisy_section_ok
         if not good and context is None:

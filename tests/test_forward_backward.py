@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import sys
@@ -111,10 +112,11 @@ class TestKindEquality:
     def test_all_silent_outcome_forces_everything(self, toy_matrix):
         t = np.zeros(3, dtype=np.uint8)
         complete = run(build_complete(toy_matrix), PRIOR, Noiseless(), t)
-        reduced = run(build_reduced(toy_matrix, t), PRIOR, Noiseless(), t)
+        trellis = build_reduced(toy_matrix, t)
+        reduced = run(trellis, PRIOR, Noiseless(), t)
         assert np.isposinf(complete.lapp).all()
         assert np.isposinf(reduced.lapp).all()
-        assert reduced.zero_forced.tolist() == [0, 1, 2, 3, 4, 5]
+        assert np.flatnonzero(~trellis.kept).tolist() == [0, 1, 2, 3, 4, 5]
         assert complete.log_evidence == pytest.approx(6 * math.log(0.9), rel=1e-12)
         assert reduced.log_evidence == pytest.approx(6 * math.log(0.9), rel=1e-12)
 
@@ -145,12 +147,12 @@ class TestOracleAgreement:
 class TestConsistencyIdentities:
     def test_alpha_is_normalized_every_depth(self, toy_matrix):
         result = run(build_complete(toy_matrix), PRIOR, Bsc(0.05), T_101)
-        for alpha in result.metrics.alpha:
+        for alpha in result.alpha:
             assert float(alpha.sum()) == pytest.approx(1.0, rel=1e-14)
 
     def test_section_evidence_is_constant(self, toy_matrix):
         result = run(build_complete(toy_matrix), PRIOR, Bsc(0.05), T_101)
-        section = result.metrics.section_log_evidence
+        section = result.section_log_evidence
         assert np.allclose(section, result.log_evidence, rtol=1e-13)
 
     def test_bsc_zero_equals_noiseless_bitwise(self, toy_matrix):
@@ -175,17 +177,17 @@ class TestConsistencyIdentities:
         # reaching packed state s; checked by brute force at depth 3
         result = run(build_complete(toy_matrix), PRIOR, Noiseless(), T_101)
         trellis = build_complete(toy_matrix)
-        _assert_alpha_is_prefix_mass(result.metrics, trellis, toy_matrix, PRIOR, depth=3)
+        _assert_alpha_is_prefix_mass(result, trellis, toy_matrix, PRIOR, depth=3)
 
 
-def _assert_alpha_is_prefix_mass(metrics, trellis, matrix, prior, depth):
+def _assert_alpha_is_prefix_mass(result, trellis, matrix, prior, depth):
     want = {}
     for bits in range(1 << depth):
         prefix = [(bits >> k) & 1 for k in range(depth)]
         state = walk_partial_syndromes(matrix.entries, prefix)[depth]
         mass = prior.delta ** sum(prefix) * (1 - prior.delta) ** (depth - sum(prefix))
         want[state] = want.get(state, 0.0) + mass
-    scaled = metrics.alpha[depth] * math.exp(metrics.alpha_log_scale[depth])
+    scaled = result.alpha[depth] * math.exp(result.alpha_log_scale[depth])
     for pos, state in enumerate(trellis.states[depth]):
         assert scaled[pos] == pytest.approx(want[int(state)], rel=1e-12)
 
@@ -195,11 +197,11 @@ class TestAlphaCache:
         trellis = build_complete(toy_matrix)
         first = run(trellis, PRIOR, Bsc(0.05), T_101)
         with pytest.raises(ValueError):
-            first.metrics.alpha[2][0] = 0.5
+            first.alpha[2][0] = 0.5
         with pytest.raises(ValueError):
-            first.metrics.alpha_log_scale[0] = 1.0
+            first.alpha_log_scale[0] = 1.0
         second = run(trellis, PRIOR, Bsc(0.05), T_101)
-        assert second.metrics.alpha is first.metrics.alpha
+        assert second.alpha is first.alpha
         assert np.array_equal(second.lapp, first.lapp)
         assert second.log_evidence == first.log_evidence
 
@@ -207,21 +209,21 @@ class TestAlphaCache:
         trellis = build_complete(toy_matrix)
         low = run(trellis, Prior(0.1), Noiseless(), T_101)
         high = run(trellis, Prior(0.3), Noiseless(), T_101)
-        assert not np.array_equal(low.metrics.alpha[3], high.metrics.alpha[3])
+        assert not np.array_equal(low.alpha[3], high.alpha[3])
         for prior, result in ((Prior(0.1), low), (Prior(0.3), high)):
             for depth in range(trellis.n + 1):
-                _assert_alpha_is_prefix_mass(result.metrics, trellis, toy_matrix, prior, depth)
+                _assert_alpha_is_prefix_mass(result, trellis, toy_matrix, prior, depth)
             fresh = run(build_complete(toy_matrix), prior, Noiseless(), T_101)
             assert np.array_equal(result.lapp, fresh.lapp)
         again = run(trellis, Prior(0.1), Noiseless(), T_101)
-        assert np.array_equal(again.metrics.alpha[3], low.metrics.alpha[3])
+        assert np.array_equal(again.alpha[3], low.alpha[3])
         assert np.array_equal(again.lapp, low.lapp)
 
     def test_dropped_trellis_leaves_the_cache(self, toy_matrix):
         gc.collect()
         before = len(forward_backward._ALPHA_CACHE)
         trellis = build_complete(toy_matrix)
-        alpha = weakref.ref(run(trellis, PRIOR, Noiseless(), T_101).metrics.alpha[1])
+        alpha = weakref.ref(run(trellis, PRIOR, Noiseless(), T_101).alpha[1])
         assert trellis in forward_backward._ALPHA_CACHE
         assert len(forward_backward._ALPHA_CACHE) == before + 1
         del trellis
@@ -271,7 +273,7 @@ class TestStreamingBackward:
                 assert np.array_equal(np.isneginf(row), np.isneginf(single.lapp))
                 finite = np.isfinite(single.lapp)
                 assert np.allclose(row[finite], single.lapp[finite], rtol=1e-12, atol=1e-12)
-                section = single.metrics.section_log_evidence
+                section = single.section_log_evidence
                 assert np.allclose(section, single.log_evidence, rtol=1e-12, atol=0)
                 alone = posterior_table(trellis, PRIOR, noise, t[None])[0]
                 assert np.array_equal(alone, single.lapp)
@@ -317,7 +319,7 @@ class TestStreamingBackward:
                 assert math.exp(result.log_evidence) == pytest.approx(
                     float(reference.total_mass[0]), rel=1e-11
                 )
-                section = result.metrics.section_log_evidence  # empty when n = 0
+                section = result.section_log_evidence  # empty when n = 0
                 assert np.allclose(section, section[:1], rtol=1e-12, atol=0)
         assert partial > 0
 
@@ -423,10 +425,21 @@ class TestPosteriorTable:
 
 class TestZeroForced:
     def test_reduced_reports_silent_covered_elements(self, toy_matrix):
-        result = run(build_reduced(toy_matrix, T_101), PRIOR, Noiseless(), T_101)
-        assert result.zero_forced.tolist() == [1, 2, 4]
-        assert np.isposinf(result.lapp[result.zero_forced]).all()
+        trellis = build_reduced(toy_matrix, T_101)
+        result = run(trellis, PRIOR, Noiseless(), T_101)
+        forced = np.flatnonzero(~trellis.kept)
+        assert forced.tolist() == [1, 2, 4]
+        assert np.isposinf(result.lapp[forced]).all()
+        assert result.section_log_evidence.size == trellis.n == 3
 
     def test_complete_reports_none(self, toy_matrix):
+        trellis = build_complete(toy_matrix)
+        result = run(trellis, PRIOR, Noiseless(), T_101)
+        assert np.flatnonzero(~trellis.kept).size == 0
+        assert result.section_log_evidence.size == 6
+
+    def test_result_fields(self, toy_matrix):
         result = run(build_complete(toy_matrix), PRIOR, Noiseless(), T_101)
-        assert result.zero_forced.size == 0
+        assert [f.name for f in dataclasses.fields(result)] == [
+            "lapp", "log_evidence", "alpha", "alpha_log_scale", "section_log_evidence",
+        ]

@@ -15,7 +15,6 @@ from grouptrellis import (
     build_complete,
     decide,
     default_threshold_grid,
-    estimate_operating_point,
     randomized_interpolation,
     run,
     sweep_roc,
@@ -92,8 +91,8 @@ class TestCountingAgainstPerTrialDecisions:
 
 class TestDeterminism:
     def test_same_seed_same_counts(self):
-        a = estimate_operating_point(PAIR, PRIOR, Bsc(0.05), ThresholdRule(1.0), 3000, seed=5)
-        b = estimate_operating_point(PAIR, PRIOR, Bsc(0.05), ThresholdRule(1.0), 3000, seed=5)
+        a = sweep_roc(PAIR, PRIOR, Bsc(0.05), [1.0], 3000, seed=5).points[0]
+        b = sweep_roc(PAIR, PRIOR, Bsc(0.05), [1.0], 3000, seed=5).points[0]
         assert a == b
 
     def test_worker_count_does_not_change_results(self):
@@ -140,13 +139,6 @@ class TestDeterminism:
         # threads may enter the engine in any order; the batches must not change
         assert sorted(b.tobytes() for b in batches) == sorted(b.tobytes() for b in serial)
 
-    def test_workers_env_variable_is_honoured(self, monkeypatch):
-        monkeypatch.setenv("GROUPTRELLIS_WORKERS", "2")
-        grid = [0.0]
-        via_env = sweep_roc(PAIR, PRIOR, Noiseless(), grid, trials=9000, seed=3)
-        explicit = sweep_roc(PAIR, PRIOR, Noiseless(), grid, trials=9000, seed=3, workers=1)
-        assert via_env.to_csv() == explicit.to_csv()
-
     def test_bsc_zero_equals_noiseless_estimates(self):
         grid = [-math.inf, 0.5, math.inf]
         a = sweep_roc(PAIR, PRIOR, Bsc(0.0), grid, trials=5000, seed=21)
@@ -171,7 +163,7 @@ class TestRocCurveShape:
 
     def test_trial_accounting_off_chunk_boundary(self):
         trials = CHUNK_TRIALS + 1808
-        point = estimate_operating_point(PAIR, PRIOR, Noiseless(), ThresholdRule(0.0), trials, seed=0)
+        point = sweep_roc(PAIR, PRIOR, Noiseless(), [0.0], trials, seed=0).points[0]
         assert point.fa_trials + point.md_trials == trials * PAIR.n
 
 
@@ -210,10 +202,6 @@ class TestGridAndInterpolation:
         finite = grid[1:-1] - shift
         assert np.allclose(finite + finite[::-1], 0.0, atol=1e-12)
 
-    def test_grid_count_validation(self):
-        with pytest.raises(ValueError):
-            default_threshold_grid(PRIOR, count=2)
-
     def test_interpolation_endpoints_and_midpoint(self):
         a = OperatingPoint(0.0, True, fa_events=10, fa_trials=100, md_events=30, md_trials=60)
         b = OperatingPoint(1.0, True, fa_events=40, fa_trials=100, md_events=6, md_trials=60)
@@ -234,12 +222,12 @@ class TestGridAndInterpolation:
 class TestValidation:
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):
-            estimate_operating_point(PAIR, PRIOR, Noiseless(), ThresholdRule(0.0), 0, seed=0)
+            sweep_roc(PAIR, PRIOR, Noiseless(), [0.0], 0, seed=0)
 
     def test_custom_noise_cannot_be_sampled(self):
         noise = CustomNoise(lambda t, s: Bsc(0.1).likelihood(t, s))
         with pytest.raises(ValueError):
-            estimate_operating_point(PAIR, PRIOR, noise, ThresholdRule(0.0), 100, seed=0)
+            sweep_roc(PAIR, PRIOR, noise, [0.0], 100, seed=0)
 
     def test_duplicate_thresholds_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,9 @@
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -350,13 +354,40 @@ class TestGuards:
             tracemalloc.stop()
         assert peak < budget
 
-    def test_enumerate_paths_guard(self, toy_matrix):
+    def test_repeated_builds_keep_peak_rss_flat(self):
+        # each 2**24-entry bool table must come zeroed from fresh pages; taken
+        # from heap memory an earlier build freed, it is zero-filled in full
+        # and peak RSS grows by about 10 MB over four builds
+        script = (
+            "import resource\n"
+            "from grouptrellis import bernoulli_matrix, build_complete\n"
+            "matrix = bernoulli_matrix(24, 12, 0.08, 0)\n"
+            "for _ in range(4):\n"
+            "    build_complete(matrix)\n"
+            "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        src = str(Path(trellis_module.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": pythonpath},
+        )
+        assert proc.returncode == 0, proc.stderr
+        peaks_kb = [int(line) for line in proc.stdout.split()]
+        assert len(peaks_kb) == 4
+        assert peaks_kb[3] - peaks_kb[0] < 5 * 1024, peaks_kb
+
+    def test_enumerate_paths_guard(self, toy_matrix, monkeypatch):
         complete = build_complete(toy_matrix)
+        assert trellis_module.MAX_PATHS == 1 << 20
+        monkeypatch.setattr(trellis_module, "MAX_PATHS", 10)
         with pytest.raises(SizeLimitError):
-            enumerate_paths(complete, max_paths=10)
-        assert enumerate_paths(complete, max_paths=64).shape == (64, 6)
+            enumerate_paths(complete)
+        monkeypatch.setattr(trellis_module, "MAX_PATHS", 64)
+        assert enumerate_paths(complete).shape == (64, 6)
+        monkeypatch.setattr(trellis_module, "MAX_PATHS", 63)
         with pytest.raises(SizeLimitError):
-            enumerate_paths(complete, max_paths=63)
+            enumerate_paths(complete)
 
 
 class TestDump:

@@ -134,21 +134,13 @@ _STATE_BYTES = 40
 _TABLE_BYTES = 9
 
 
-#: Bool tables from this many entries up are mapped on fresh pages.
-_MAPPED_MARKS = 1 << 21
-
-
 def _zeroed_marks(m):
-    """An all-False 2**m bool table.
+    """An all-False 2**m bool table on fresh anonymous pages.
 
-    A large table is mapped on fresh anonymous pages, which the kernel zeroes
-    as they are first touched, so it costs only the pages where states land.
-    `np.zeros` may instead take it from heap memory an earlier build freed
-    and zero-fill all of it.  A table below _MAPPED_MARKS entries is cheaper
-    to zero than to map.
+    The kernel zeroes each page as it is first touched, so a table costs only
+    the pages where states land.  `np.zeros` may instead take it from heap
+    memory an earlier build freed and zero-fill all of it.
     """
-    if 1 << m < _MAPPED_MARKS:
-        return np.zeros(1 << m, dtype=bool)
     return np.frombuffer(mmap.mmap(-1, 1 << m), dtype=bool)
 
 

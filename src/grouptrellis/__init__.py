@@ -6,10 +6,9 @@ posterior log-ratios, then threshold them (or sweep thresholds under Monte
 Carlo) to study the false-alarm / missed-detection trade-off.
 """
 
-from .decision import ThresholdRule, comp_decide, decide, llr_values
+from .decision import ThresholdRule, comp_decide, decide
 from .forward_backward import (
     PosteriorResult,
-    branch_metric,
     posterior_pairs,
     posterior_table,
     run,
@@ -40,7 +39,6 @@ from .montecarlo import (
     OperatingPoint,
     RocCurve,
     default_threshold_grid,
-    randomized_interpolation,
     sweep_roc,
 )
 from .oracle import OracleResult, enumerate_posteriors
@@ -75,7 +73,6 @@ __all__ = [
     "Trellis",
     "bernoulli_matrix",
     "bits_to_index",
-    "branch_metric",
     "comp_decide",
     "compute_syndrome",
     "decide",
@@ -86,10 +83,8 @@ __all__ = [
     "expurgate",
     "hypergraph_incidence",
     "index_to_bits",
-    "llr_values",
     "posterior_pairs",
     "posterior_table",
-    "randomized_interpolation",
     "read_matrix",
     "run",
     "sweep_roc",

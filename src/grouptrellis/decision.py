@@ -15,15 +15,14 @@ import math
 
 import numpy as np
 
-from .model import Prior, TestMatrix, as_bit_vector
+from .model import TestMatrix, as_bit_vector
 
 
 @dataclasses.dataclass(frozen=True)
 class ThresholdRule:
     """Flag an element as defective when lapp <= threshold (ties configurable).
 
-    The threshold lives in the posterior log-ratio domain.  Use `from_llr` to
-    specify it in the prior-free log-likelihood-ratio domain instead.
+    The threshold lives in the posterior log-ratio domain.
     """
 
     threshold: float
@@ -32,12 +31,6 @@ class ThresholdRule:
     def __post_init__(self):
         if math.isnan(self.threshold):
             raise ValueError("threshold must not be NaN")
-
-    @classmethod
-    def from_llr(cls, llr_threshold, prior: Prior, tie_defective: bool = True):
-        """Build a rule from a threshold on lapp minus the prior log-ratio."""
-        shift = math.log((1.0 - prior.delta) / prior.delta)
-        return cls(threshold=llr_threshold + shift, tie_defective=tie_defective)
 
 
 def decide(lapp, rule: ThresholdRule) -> np.ndarray:
@@ -57,9 +50,3 @@ def comp_decide(matrix: TestMatrix, t) -> np.ndarray:
     tv = as_bit_vector(t, matrix.m, "outcome vector")
     silent_rows = matrix.entries[tv == 0, :]
     return (silent_rows.sum(axis=0) == 0).astype(np.uint8)
-
-
-def llr_values(lapp, prior: Prior) -> np.ndarray:
-    """Shift lapp values into the prior-free log-likelihood-ratio domain."""
-    shift = math.log((1.0 - prior.delta) / prior.delta)
-    return np.asarray(lapp, dtype=float) - shift

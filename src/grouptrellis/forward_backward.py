@@ -47,13 +47,6 @@ from .trellis import Trellis
 _ALPHA_CACHE = weakref.WeakKeyDictionary()
 
 
-def branch_metric(label, prior: Prior) -> float:
-    """Edge weight gamma: prior probability of one element's label."""
-    if label not in (0, 1):
-        raise ValueError(f"edge label must be 0 or 1, got {label}")
-    return prior.delta if label == 1 else 1.0 - prior.delta
-
-
 @dataclasses.dataclass(frozen=True, eq=False)
 class PosteriorResult:
     """Per-element posterior log-ratios, the evidence and the forward metrics.
@@ -85,8 +78,7 @@ def _forward(trellis, prior):
     delta, cached = _ALPHA_CACHE.get(trellis, (None, None))
     if delta == prior.delta:
         return cached
-    g0 = branch_metric(0, prior)
-    g1 = branch_metric(1, prior)
+    g0, g1 = 1.0 - prior.delta, prior.delta  # edge weights gamma of labels 0 and 1
     alpha = [np.ones(1)]
     log_scale = [0.0]
     for ell in range(trellis.n):
@@ -121,8 +113,7 @@ def _engine(trellis, prior, beta_final):
     (n, K), log evidence (K,), section log evidence (n, K) and the forward
     pass (alpha, alpha log scales) it used.
     """
-    g0 = branch_metric(0, prior)
-    g1 = branch_metric(1, prior)
+    g0, g1 = 1.0 - prior.delta, prior.delta  # edge weights gamma of labels 0 and 1
     n, k = trellis.n, beta_final.shape[1]
     alpha, a_log = _forward(trellis, prior)
     u0 = np.empty((n, k))

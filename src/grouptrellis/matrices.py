@@ -75,8 +75,8 @@ def bernoulli_matrix(m: int, n: int, density: float, seed: int) -> TestMatrix:
 def write_matrix(path, matrix: TestMatrix) -> None:
     """Write a matrix in the `m n` header + 0/1 rows text format."""
     lines = [f"{matrix.m} {matrix.n}"]
-    for i in range(matrix.m):
-        lines.append(" ".join(str(int(v)) for v in matrix.row(i)))
+    for row in matrix.entries:
+        lines.append(" ".join(str(int(v)) for v in row))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -99,14 +99,6 @@ class TestMatrix:
         """Number of elements (columns)."""
         return self.entries.shape[1]
 
-    def column(self, ell):
-        """Pool-membership column of element `ell` as a uint8 vector."""
-        return self.entries[:, ell]
-
-    def row(self, i):
-        """Membership row of test `i` as a uint8 vector."""
-        return self.entries[i, :]
-
     @cached_property
     def column_masks(self):
         """Columns packed as integers, bit i set when the element joins test i."""

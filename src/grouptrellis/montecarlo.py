@@ -13,12 +13,12 @@ the truth.  Two facts keep this fast:
 
 Reproducibility: trials are partitioned into fixed-size chunks and chunk c
 uses a counter-based generator advanced to a lane derived from c alone.
-With `workers` threads, chunks run in rounds of `workers`: sample the
-round's chunks, form their batches in chunk order, run the batches, then
-count the chunks.  The batches, and with them the engine's lapp bits, follow
-chunk order alone, and integer event counts add up in any order, so
-estimates depend on (trials, seed) and on the BLAS thread count, but not on
-the worker count or on thread timing.
+With `workers` threads (capped at the CPU count), chunks run in rounds of
+one chunk per thread: sample the round's chunks, form their batches in
+chunk order, run the batches, then count the chunks.  The batches, and
+with them the engine's lapp bits, follow chunk order alone, and integer
+event counts add up in any order, so estimates depend on (trials, seed) and
+on the BLAS thread count, but not on the worker count or on thread timing.
 
 Reported rates are per-element averages: p_fa = Pr{flagged | clear} and
 p_md = Pr{missed | defective}, pooled over all elements and trials, with
@@ -30,6 +30,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -175,6 +176,8 @@ def _simulate(matrix, prior, noise, thresholds, tie_defective, trials, seed, wor
         raise ValueError("simulation draws outcomes only for noiseless or BSC channels")
     if workers < 1:
         raise ValueError(f"worker count must be positive, got {workers}")
+    # a round holds one sampled chunk and one thread per worker
+    workers = min(workers, os.cpu_count() or 1)
     trellis = build_complete(matrix)
     thresholds = np.asarray(thresholds, dtype=float)
     jobs = [
@@ -239,8 +242,9 @@ def sweep_roc(
     monotone up to ties.  Thresholds are sorted ascending; duplicates are
     rejected to keep CSV rows unambiguous.  One threshold rule's operating
     point is `.points[0]` of a sweep over `[rule.threshold]` with
-    `rule.tie_defective`.  Memory is
-    O(workers x CHUNK_TRIALS x n + distinct outcomes x n).
+    `rule.tie_defective`.  At most `os.cpu_count()` of the `workers` threads
+    start, so memory is O(min(workers, CPUs) x CHUNK_TRIALS x n + distinct
+    outcomes x n).
     """
     lam = np.sort(np.asarray(thresholds, dtype=float))
     if lam.size == 0:
@@ -271,17 +275,3 @@ def sweep_roc(
         trials=trials,
         seed=seed,
     )
-
-
-def randomized_interpolation(point_a: OperatingPoint, point_b: OperatingPoint, mix: float):
-    """Operating rates of the rule that plays `point_b` with probability `mix`.
-
-    Time-sharing between two threshold rules achieves the convex combination
-    of their rates; useful for reading continuous envelopes off a discrete
-    sweep.  Returns the interpolated (p_fa, p_md) pair.
-    """
-    if not 0.0 <= mix <= 1.0:
-        raise ValueError(f"mix must lie in [0, 1], got {mix}")
-    p_fa = (1.0 - mix) * point_a.p_fa + mix * point_b.p_fa
-    p_md = (1.0 - mix) * point_a.p_md + mix * point_b.p_md
-    return p_fa, p_md

@@ -30,10 +30,6 @@ class OracleResult:
         return self.mass0 + self.mass1
 
     @property
-    def posterior_defective(self):
-        return self.mass1 / self.total_mass
-
-    @property
     def lapp(self):
         with np.errstate(divide="ignore"):
             return np.log(self.mass0) - np.log(self.mass1)

@@ -97,30 +97,22 @@ class Trellis:
     def state_counts(self):
         return [s.size for s in self.states]
 
-    def section_edges(self, depth):
-        """Edges of one section as an (E, 3) array of (src, dst, label) packed states."""
-        sec = self.sections[depth]
-        left, right = self.states[depth], self.states[depth + 1]
-        rows = np.concatenate(
-            [
-                np.stack(
-                    [left[sec.zero_src], right[sec.zero_dst], np.zeros(sec.zero_src.size, np.int64)],
-                    axis=1,
-                ),
-                np.stack(
-                    [left[sec.one_src], right[sec.one_dst], np.ones(sec.one_src.size, np.int64)],
-                    axis=1,
-                ),
-            ]
-        )
-        order = np.lexsort((rows[:, 1], rows[:, 2], rows[:, 0]))
-        return rows[order]
-
     def dump(self):
-        """Stable text listing, one line per edge: `depth src dst label`."""
+        """Stable text listing, one line per edge: `depth src dst label`.
+
+        States are packed; each depth's lines are sorted by (src, label, dst).
+        """
         lines = []
-        for depth in range(self.n):
-            for src, dst, label in self.section_edges(depth):
+        for depth, sec in enumerate(self.sections):
+            left, right = self.states[depth], self.states[depth + 1]
+            edges = ((0, sec.zero_src, sec.zero_dst), (1, sec.one_src, sec.one_dst))
+            rows = np.concatenate(
+                [
+                    np.stack([left[src], right[dst], np.full(src.size, label, np.int64)], axis=1)
+                    for label, src, dst in edges
+                ]
+            )
+            for src, dst, label in rows[np.lexsort((rows[:, 1], rows[:, 2], rows[:, 0]))]:
                 lines.append(f"{depth} {src} {dst} {label}")
         return "\n".join(lines) + ("\n" if lines else "")
 

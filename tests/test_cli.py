@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -199,16 +200,21 @@ class TestOracleCheck:
         assert "20 cases" in out
         assert "max relative deviation" in out
 
-    def test_corrupted_branch_metric_fails_the_check(self, monkeypatch, capsys):
-        from grouptrellis import forward_backward
+    @pytest.mark.parametrize(
+        "corrupt",
+        [lambda lapp: lapp * 1.001, lambda lapp: np.full_like(lapp, np.nan)],
+        ids=["scaled", "nan"],
+    )
+    def test_corrupted_lapp_fails_the_check(self, monkeypatch, capsys, corrupt):
+        from grouptrellis import cli
 
-        true_metric = forward_backward.branch_metric
+        true_run = cli.run
 
-        def corrupted(label, prior):
-            value = true_metric(label, prior)
-            return value * 1.001 if label == 1 else value
+        def corrupted(*args):
+            result = true_run(*args)
+            return dataclasses.replace(result, lapp=corrupt(result.lapp))
 
-        monkeypatch.setattr(forward_backward, "branch_metric", corrupted)
+        monkeypatch.setattr(cli, "run", corrupted)
         assert main(["oracle-check", "--cases", "5", "--seed", "1"]) == 4
         assert "FAILED" in capsys.readouterr().err
 

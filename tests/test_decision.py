@@ -14,7 +14,6 @@ from grouptrellis import (
     comp_decide,
     compute_syndrome,
     decide,
-    llr_values,
     run,
 )
 
@@ -53,20 +52,6 @@ class TestDecide:
         flags_lo = decide(np.array(lapp), ThresholdRule(lo, tie_defective=tie))
         flags_hi = decide(np.array(lapp), ThresholdRule(hi, tie_defective=tie))
         assert np.all(flags_lo <= flags_hi)
-
-
-class TestLlrDomain:
-    @given(st.lists(finite_floats, min_size=1, max_size=12), finite_floats)
-    def test_from_llr_matches_shifted_decision(self, lapp, llr_threshold):
-        prior = Prior(0.1)
-        values = np.array(lapp)
-        via_app = decide(values, ThresholdRule.from_llr(llr_threshold, prior))
-        via_llr = decide(llr_values(values, prior), ThresholdRule(llr_threshold))
-        assert np.array_equal(via_app, via_llr)
-
-    def test_shift_value(self):
-        prior = Prior(0.1)
-        assert llr_values(np.array([math.log(9.0)]), prior)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestCompDecide:

@@ -18,7 +18,6 @@ from grouptrellis import (
     SizeLimitError,
     TestMatrix,
     bernoulli_matrix,
-    branch_metric,
     build_complete,
     build_reduced,
     compute_syndrome,
@@ -322,14 +321,6 @@ class TestStreamingBackward:
                 section = result.section_log_evidence  # empty when n = 0
                 assert np.allclose(section, section[:1], rtol=1e-12, atol=0)
         assert partial > 0
-
-
-class TestBranchMetric:
-    def test_values(self):
-        assert branch_metric(0, PRIOR) == 0.9
-        assert branch_metric(1, PRIOR) == pytest.approx(0.1)
-        with pytest.raises(ValueError):
-            branch_metric(2, PRIOR)
 
 
 class TestValidation:

@@ -41,7 +41,7 @@ class TestHypergraphIncidence:
 
     def test_columns_are_distinct_subsets_in_lex_order(self):
         matrix = hypergraph_incidence(6, 2)
-        subsets = [tuple(np.flatnonzero(matrix.column(j))) for j in range(matrix.n)]
+        subsets = [tuple(np.flatnonzero(matrix.entries[:, j])) for j in range(matrix.n)]
         assert subsets == list(itertools.combinations(range(6), 2))
 
     def test_each_vertex_appears_equally_often(self):
@@ -74,7 +74,7 @@ class TestExtendedBchParityCheck:
 
     def test_columns_distinct(self):
         matrix = ebch_64_57_parity_check()
-        packed = {tuple(matrix.column(j)) for j in range(64)}
+        packed = {tuple(matrix.entries[:, j]) for j in range(64)}
         assert len(packed) == 64
 
 

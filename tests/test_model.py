@@ -34,8 +34,8 @@ def matrix_and_vector(draw, max_m=5, max_n=8):
 class TestTestMatrix:
     def test_shape_accessors(self, toy_matrix):
         assert (toy_matrix.m, toy_matrix.n) == (3, 6)
-        assert np.array_equal(toy_matrix.column(1), [1, 1, 0])
-        assert np.array_equal(toy_matrix.row(2), [1, 0, 1, 0, 0, 1])
+        assert np.array_equal(toy_matrix.entries[:, 1], [1, 1, 0])
+        assert np.array_equal(toy_matrix.entries[2], [1, 0, 1, 0, 0, 1])
 
     def test_column_masks_pack_test_bits(self, toy_matrix):
         # worked out by hand: column l collects 2**i over its tests i

@@ -15,7 +15,6 @@ from grouptrellis import (
     build_complete,
     decide,
     default_threshold_grid,
-    randomized_interpolation,
     run,
     sweep_roc,
 )
@@ -107,6 +106,22 @@ class TestDeterminism:
                 for workers in (1, 2, 2, 2, 3)
             ]
             assert runs[1:] == runs[:1] * 4
+
+    def test_threads_are_capped_at_the_cpu_count(self, monkeypatch):
+        pool_sizes = []
+
+        class RecordingPool(montecarlo.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pool_sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+        trials = 2 * CHUNK_TRIALS + 1
+        args = (PAIR, PRIOR, Bsc(0.05), [-math.inf, 0.0, math.inf], trials, 3)
+        wide = sweep_roc(*args, workers=64).to_csv()
+        assert pool_sizes == [2]
+        assert wide == sweep_roc(*args, workers=1).to_csv()
 
     def test_engine_batches_are_the_outcomes_each_chunk_draws_first(self, monkeypatch):
         noise = Bsc(0.05)
@@ -201,17 +216,6 @@ class TestGridAndInterpolation:
         shift = math.log((1 - PRIOR.delta) / PRIOR.delta)
         finite = grid[1:-1] - shift
         assert np.allclose(finite + finite[::-1], 0.0, atol=1e-12)
-
-    def test_interpolation_endpoints_and_midpoint(self):
-        a = OperatingPoint(0.0, True, fa_events=10, fa_trials=100, md_events=30, md_trials=60)
-        b = OperatingPoint(1.0, True, fa_events=40, fa_trials=100, md_events=6, md_trials=60)
-        assert randomized_interpolation(a, b, 0.0) == (a.p_fa, a.p_md)
-        assert randomized_interpolation(a, b, 1.0) == (b.p_fa, b.p_md)
-        mid = randomized_interpolation(a, b, 0.5)
-        assert mid[0] == pytest.approx((a.p_fa + b.p_fa) / 2)
-        assert mid[1] == pytest.approx((a.p_md + b.p_md) / 2)
-        with pytest.raises(ValueError):
-            randomized_interpolation(a, b, 1.5)
 
     def test_halfwidth_formula(self):
         point = OperatingPoint(0.0, True, fa_events=5000, fa_trials=10000, md_events=0, md_trials=0)

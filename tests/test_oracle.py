@@ -39,7 +39,7 @@ class TestToyNoiseless:
     def test_posteriors_from_mass_ratios(self, toy_matrix):
         result = enumerate_posteriors(toy_matrix, T_101, PRIOR, Noiseless())
         want = [100 / 109, 0.0, 0.0, 19 / 109, 0.0, 19 / 109]
-        assert np.allclose(result.posterior_defective, want, rtol=1e-12, atol=0)
+        assert np.allclose(result.mass1 / result.total_mass, want, rtol=1e-12, atol=0)
 
     def test_total_mass_constant_and_closed_form(self, toy_matrix):
         result = enumerate_posteriors(toy_matrix, T_101, PRIOR, Noiseless())

@@ -98,6 +98,16 @@ def _forward(trellis, prior):
     return cached
 
 
+def _gather(out, b, src, dst):
+    """out[src[k]] = b[dst[k]], with 0 where a left state has no edge of the label."""
+    if src.size == out.shape[0]:  # the label leaves every left state: src is the identity
+        # mode="raise" would buffer `out`; the indices are in range by construction
+        b.take(dst, axis=0, out=out, mode="clip")
+    else:
+        out.fill(0.0)
+        out[src] = b[dst]
+
+
 def _engine(trellis, prior, beta_final):
     """Posteriors for the columns of beta_final, which is (final states, K).
 
@@ -107,19 +117,33 @@ def _engine(trellis, prior, beta_final):
 
     One backward pass holds a single scaled beta at a time.  Each section
     gathers beta per label in left-state order, 0 where a left state has no
-    edge of that label, so every section takes one update.  The beta and the
-    two gathers live in three (max states, K) work arrays allocated once per
-    call, so a complete trellis allocates nothing per depth.  Returns lapp
-    (n, K), log evidence (K,), section log evidence (n, K) and the forward
-    pass (alpha, alpha log scales) it used.
+    edge of that label, so every section takes the same update.  A section
+    that adds no state (its 0-edges leave every left state and both depths
+    have as many states) has the identity as its 0-edges, so beta itself is
+    its 0-gather; at an all-zero column the 1-edges are the identity too, and
+    one product serves both labels.  These skip copies, not arithmetic, so
+    the result is the same to the bit.  The beta and the two gathers live in
+    three (max states, K) work arrays allocated once per call, so a complete
+    trellis allocates nothing per depth.
+
+    Raises NotASyndromeError, before any other work, when a column of
+    beta_final is all zero.  Returns lapp (n, K), log evidence (K,), section
+    log evidence (n, K) and the forward pass (alpha, alpha log scales) it
+    used.
     """
+    d = beta_final.sum(axis=0)
+    dead = np.flatnonzero(d == 0.0)
+    if dead.size:
+        raise NotASyndromeError(
+            f"{dead.size} outcome row(s) have zero probability at every reachable "
+            f"syndrome (first at row {int(dead[0])})"
+        )
     g0, g1 = 1.0 - prior.delta, prior.delta  # edge weights gamma of labels 0 and 1
     n, k = trellis.n, beta_final.shape[1]
     alpha, a_log = _forward(trellis, prior)
     u0 = np.empty((n, k))
     u1 = np.empty((n, k))
     b_log = np.empty((n + 1, k))
-    d = beta_final.sum(axis=0)
     b = beta_final
     b /= d
     b_log[n] = np.log(d)
@@ -133,17 +157,22 @@ def _engine(trellis, prior, beta_final):
         a = alpha[ell]
         zslot, oslot = (i for i in range(3) if i != slot)
         bz, bo = work[zslot][: a.size], work[oslot][: a.size]
-        for out, src, dst in ((bz, sec.zero_src, sec.zero_dst), (bo, sec.one_src, sec.one_dst)):
-            if src.size == a.size:  # the label leaves every left state: src is the identity
-                # mode="raise" would buffer `out`; the indices are in range by construction
-                b.take(dst, axis=0, out=out, mode="clip")
-            else:  # 0 where a left state has no edge of this label
-                out.fill(0.0)
-                out[src] = b[dst]
-        u0[ell] = g0 * (a @ bz)
-        u1[ell] = g1 * (a @ bo)
+        stays = sec.zero_src.size == a.size == b.shape[0]  # the 0-edges are the identity
+        if stays:
+            bz, zslot = b, slot
+        else:
+            _gather(bz, b, sec.zero_src, sec.zero_dst)
+        if stays and trellis.column_masks[ell] == 0:  # so are the 1-edges
+            s = a @ b
+            u0[ell] = g0 * s
+            u1[ell] = g1 * s
+            np.multiply(b, g1, out=bo)
+        else:
+            _gather(bo, b, sec.one_src, sec.one_dst)
+            u0[ell] = g0 * (a @ bz)
+            u1[ell] = g1 * (a @ bo)
+            bo *= g1
         bz *= g0
-        bo *= g1
         bz += bo
         b, slot = bz, zslot
         c = b.sum(axis=0)
@@ -153,22 +182,6 @@ def _engine(trellis, prior, beta_final):
         lapp = np.log(u0) - np.log(u1)
         section_log_evidence = np.log(u0 + u1) + (a_log[:n, None] + b_log[1:])
     return lapp, log_evidence, section_log_evidence, (alpha, a_log)
-
-
-def _final_beta(trellis, noise, rows):
-    """Likelihoods of validated (K, m) outcome rows at the final states.
-
-    Raises NotASyndromeError when a row has zero probability at every
-    reachable syndrome.
-    """
-    beta_final = noise.likelihood_table(rows, trellis.states[-1], trellis.m)
-    dead = np.flatnonzero(beta_final.sum(axis=0) == 0.0)
-    if dead.size:
-        raise NotASyndromeError(
-            f"{dead.size} outcome row(s) have zero probability at every reachable "
-            f"syndrome (first at row {int(dead[0])})"
-        )
-    return beta_final
 
 
 def run(trellis: Trellis, prior: Prior, noise, t) -> PosteriorResult:
@@ -188,7 +201,7 @@ def run(trellis: Trellis, prior: Prior, noise, t) -> PosteriorResult:
     own = trellis.outcome
     tv = as_bit_vector(t, trellis.m if own is None else own.size, "outcome vector")
     if own is None:
-        beta_final = _final_beta(trellis, noise, tv[None, :])
+        beta_final = noise.likelihood_table(tv[None, :], trellis.states[-1], trellis.m)
     else:
         if not isinstance(noise, Noiseless):
             raise ValueError("expurgated and reduced trellises encode a noiseless outcome")
@@ -223,7 +236,8 @@ def posterior_table(trellis: Trellis, prior: Prior, noise, outcomes) -> np.ndarr
     if rows.shape[0] == 0:
         return np.zeros((0, trellis.n))
     rows = as_bit_vector(rows.reshape(-1), None, "outcome array").reshape(rows.shape)
-    return _engine(trellis, prior, _final_beta(trellis, noise, rows))[0].T
+    beta_final = noise.likelihood_table(rows, trellis.states[-1], trellis.m)
+    return _engine(trellis, prior, beta_final)[0].T
 
 
 def posterior_pairs(result) -> np.ndarray:

@@ -36,9 +36,13 @@ def hypergraph_incidence(vertices: int, subset_size: int) -> TestMatrix:
         raise SizeLimitError(
             f"C({vertices}, {subset_size}) = {count} columns exceeds the guard {MAX_COLUMNS}"
         )
+    members = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(vertices), subset_size)),
+        dtype=np.intp,
+        count=count * subset_size,
+    ).reshape(count, subset_size)
     entries = np.zeros((vertices, count), dtype=np.uint8)
-    for j, subset in enumerate(itertools.combinations(range(vertices), subset_size)):
-        entries[list(subset), j] = 1
+    entries[members, np.arange(count)[:, None]] = 1
     return TestMatrix(entries)
 
 

@@ -202,7 +202,10 @@ def _assemble(m, masks, states, outcome, kept):
     An edge exists wherever both its ends are states.  The right states'
     positions and membership are written into 2**m tables, so each edge
     target is read in O(1).  A label whose edges leave every left state
-    (always, in a complete trellis) shares one `arange` as its source array.
+    (always, in a complete trellis) shares one `arange` as its source array,
+    and where such a label also keeps every state in place (the 0-label of a
+    section that adds no state; both labels of an all-zero column) that
+    `arange` is its destination array too.
     """
     pos = np.empty(1 << m, dtype=np.int64)
     member = _zeroed_marks(m)
@@ -214,13 +217,14 @@ def _assemble(m, masks, states, outcome, kept):
         every = np.arange(left.size, dtype=np.int64)
         arrays = []
         for targets in (left, left | mask):
-            dst = pos[targets]
             found = member[targets]
-            if found.all():
-                arrays += [every, dst]
-            else:
+            if not found.all():
                 src = np.flatnonzero(found)
-                arrays += [src, dst[src]]
+                arrays += [src, pos[targets[src]]]
+            elif left.size == right.size and (targets is left or mask == 0):
+                arrays += [every, every]  # left == right: every state keeps its place
+            else:
+                arrays += [every, pos[targets]]
         member[right] = False
         sections.append(EdgeSection(*arrays))
     for arr in (outcome, kept):

@@ -133,3 +133,51 @@ def subset_lattice_posteriors(entries, t, delta, eps=0.0):
         u1 = d * total[mask]
         lapp.append(log(evidence - u1) - log(u1))
     return np.array(lapp), log(evidence)
+
+
+def reference_passes(trellis, prior, beta_final):
+    """The engine's arithmetic with no shortcut: one scatter or gather per label.
+
+    The forward pass scatters both labels with `bincount` at every depth and
+    the backward pass gathers both labels into fresh arrays at every section,
+    then takes the update g0 * b0 + g1 * b1.  The engine must match this to
+    the bit.  Returns lapp (n, K), log evidence (K,), section log evidence
+    (n, K), alpha (list) and alpha log scales.
+    """
+    g0, g1 = 1.0 - prior.delta, prior.delta
+    n = trellis.n
+    alpha, a_log = [np.ones(1)], [0.0]
+    for ell, sec in enumerate(trellis.sections):
+        size, cur = trellis.states[ell + 1].size, alpha[ell]
+        nxt = np.bincount(sec.zero_dst, weights=g0 * cur[sec.zero_src], minlength=size)
+        nxt = nxt + np.bincount(sec.one_dst, weights=g1 * cur[sec.one_src], minlength=size)
+        c = float(nxt.sum())
+        alpha.append(nxt / c)
+        a_log.append(a_log[-1] + math.log(c))
+    a_log = np.array(a_log)
+    d = beta_final.sum(axis=0)
+    b = beta_final / d
+    b_log = [np.log(d)]
+    log_evidence = np.log(alpha[n] @ b) + a_log[n] + b_log[0]
+    u0, u1 = np.empty((n, b.shape[1])), np.empty((n, b.shape[1]))
+    for ell in range(n - 1, -1, -1):
+        sec, a = trellis.sections[ell], alpha[ell]
+        gathers = []
+        for src, dst in ((sec.zero_src, sec.zero_dst), (sec.one_src, sec.one_dst)):
+            out = np.zeros((a.size, b.shape[1]))
+            out[src] = b[dst]
+            gathers.append(out)
+        bz, bo = gathers
+        u0[ell] = g0 * (a @ bz)
+        u1[ell] = g1 * (a @ bo)
+        bz *= g0
+        bo *= g1
+        b = bz + bo
+        c = b.sum(axis=0)
+        b /= c
+        b_log.insert(0, b_log[0] + np.log(c))
+    b_log = np.array(b_log)
+    with np.errstate(divide="ignore"):
+        lapp = np.log(u0) - np.log(u1)
+        section = np.log(u0 + u1) + (a_log[:n, None] + b_log[1:])
+    return lapp, log_evidence, section, alpha, a_log

@@ -28,7 +28,7 @@ from grouptrellis import (
     posterior_table,
     run,
 )
-from helpers import walk_partial_syndromes
+from helpers import reference_passes, walk_partial_syndromes
 
 T_101 = np.array([1, 0, 1], dtype=np.uint8)
 PRIOR = Prior(0.1)
@@ -251,8 +251,8 @@ class TestAlphaCache:
 
 class TestStreamingBackward:
     """The backward step gathers each label in left-state order, with 0 where
-    a left state has no edge of that label, and takes one update for every
-    section, complete or pruned."""
+    a left state has no edge of that label, and takes the same update at
+    every section, complete or pruned; an identity label reads beta itself."""
 
     @pytest.mark.parametrize("noise", [Bsc(0.1), Noiseless()], ids=["bsc", "noiseless"])
     def test_table_rows_match_runs(self, noise):
@@ -321,6 +321,79 @@ class TestStreamingBackward:
                 section = result.section_log_evidence  # empty when n = 0
                 assert np.allclose(section, section[:1], rtol=1e-12, atol=0)
         assert partial > 0
+
+
+def _with_zero_columns(rng):
+    m, n = int(rng.integers(1, 8)), int(rng.integers(2, 20))
+    entries = (rng.random((m, n)) < rng.uniform(0.2, 0.6)).astype(np.uint8)
+    entries[:, rng.integers(0, n, size=2)] = 0
+    return TestMatrix(entries)
+
+
+def _identity_sections(trellis):
+    """(sections that add no state, all-zero columns) of a trellis."""
+    counts = trellis.state_counts
+    same = sum(
+        sec.zero_src.size == counts[ell] == counts[ell + 1]
+        for ell, sec in enumerate(trellis.sections)
+    )
+    return same, int((trellis.column_masks == 0).sum())
+
+
+class TestBitwiseReference:
+    """The engine skips copies where a label is the identity, and nothing
+    else: every output equals the plain two-gather pass to the bit."""
+
+    def _assert_run_matches(self, trellis, prior, noise, t):
+        if trellis.outcome is None:
+            beta_final = noise.likelihood_table(t[None, :], trellis.states[-1], trellis.m)
+        else:
+            beta_final = np.ones((1, 1))
+        lapp, log_ev, section, alpha, a_log = reference_passes(trellis, prior, beta_final)
+        result = run(trellis, prior, noise, t)
+        forced = int((~trellis.kept).sum())
+        assert result.lapp[trellis.kept].tobytes() == lapp[:, 0].tobytes()
+        assert result.log_evidence == float(log_ev[0]) + forced * math.log(1.0 - prior.delta)
+        assert result.section_log_evidence.tobytes() == section[:, 0].tobytes()
+        assert result.alpha_log_scale.tobytes() == a_log.tobytes()
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(result.alpha, alpha, strict=True))
+
+    def test_random_designs_with_zero_columns(self):
+        rng = np.random.Generator(np.random.Philox(key=41))
+        seen = np.zeros(2, int)  # identity sections and zero columns the engine met
+        for _ in range(30):
+            matrix = _with_zero_columns(rng)
+            prior = Prior(float(rng.choice([0.02, 0.1, 0.3])))
+            complete = build_complete(matrix)
+            xs = (rng.random((9, matrix.n)) < 0.2).astype(np.uint8)
+            clean = np.stack([compute_syndrome(matrix, x) for x in xs])
+            noisy = clean ^ (rng.random(clean.shape) < 0.1).astype(np.uint8)
+            for noise, rows in ((Bsc(0.1), noisy), (Noiseless(), clean)):
+                for batch in (rows, rows[:1]):
+                    beta_final = noise.likelihood_table(batch, complete.states[-1], matrix.m)
+                    want = reference_passes(complete, prior, beta_final)[0].T
+                    got = posterior_table(complete, prior, noise, batch)
+                    assert got.tobytes() == want.tobytes()
+            self._assert_run_matches(complete, prior, Bsc(0.1), noisy[0])
+            t = clean[0]
+            for trellis in (complete, expurgate(complete, t), build_reduced(matrix, t)):
+                seen += _identity_sections(trellis)
+                self._assert_run_matches(trellis, prior, Noiseless(), t)
+        assert (seen > 0).all()
+
+    def test_benchmark_design_runs_both_shortcuts(self):
+        matrix = bernoulli_matrix(12, 48, 0.15, 0)
+        trellis = build_complete(matrix)
+        assert _identity_sections(trellis) == (24, 8)
+        prior = Prior(0.02)
+        rng = np.random.Generator(np.random.Philox(key=43))
+        xs = (rng.random((40, matrix.n)) < 0.05).astype(np.uint8)
+        rows = np.stack([compute_syndrome(matrix, x) for x in xs])
+        rows ^= (rng.random(rows.shape) < 0.05).astype(np.uint8)
+        beta_final = Bsc(0.05).likelihood_table(rows, trellis.states[-1], matrix.m)
+        want = reference_passes(trellis, prior, beta_final)[0].T
+        assert posterior_table(trellis, prior, Bsc(0.05), rows).tobytes() == want.tobytes()
+        self._assert_run_matches(trellis, prior, Bsc(0.05), rows[0])
 
 
 class TestValidation:

@@ -49,6 +49,17 @@ class TestHypergraphIncidence:
         matrix = hypergraph_incidence(9, 3)
         assert np.all(matrix.entries.sum(axis=1) == 28)
 
+    @pytest.mark.parametrize("vertices, subset_size", [(1, 1), (4, 4), (6, 1), (7, 6), (9, 3), (12, 5)])
+    def test_matches_a_loop_built_incidence(self, vertices, subset_size):
+        subsets = list(itertools.combinations(range(vertices), subset_size))
+        want = np.zeros((vertices, len(subsets)), dtype=np.uint8)
+        for j, subset in enumerate(subsets):
+            for v in subset:
+                want[v, j] = 1
+        got = hypergraph_incidence(vertices, subset_size).entries
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, want)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             hypergraph_incidence(4, 0)

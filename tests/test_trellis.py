@@ -20,6 +20,7 @@ from grouptrellis import (
     bits_to_index,
     build_complete,
     build_reduced,
+    compute_syndrome,
     enumerate_paths,
     expurgate,
 )
@@ -108,6 +109,33 @@ class TestEdgeStructure:
             same = sec.zero_dst == sec.one_dst
             covered = (left & mask) == mask
             assert np.array_equal(same, covered)
+
+    def test_identity_labels_store_no_destinations(self):
+        # a label that keeps every state in place (the 0-label of a section
+        # that adds no state; both labels of an all-zero column) uses its
+        # source arange as its destination array
+        rng = np.random.Generator(np.random.Philox(key=47))
+        shared = 0
+        for _ in range(40):
+            entries = (rng.random((int(rng.integers(1, 7)), 12)) < 0.3).astype(np.uint8)
+            entries[:, rng.integers(0, 12, size=2)] = 0
+            matrix = TestMatrix(entries)
+            t = compute_syndrome(matrix, (rng.random(12) < 0.3).astype(np.uint8))
+            complete = build_complete(matrix)
+            for trellis in (complete, expurgate(complete, t), build_reduced(matrix, t)):
+                for ell, sec in enumerate(trellis.sections):
+                    left, right = trellis.states[ell], trellis.states[ell + 1]
+                    zero_column = trellis.column_masks[ell] == 0
+                    for src, dst, label_stays in (
+                        (sec.zero_src, sec.zero_dst, True),
+                        (sec.one_src, sec.one_dst, zero_column),
+                    ):
+                        identity = label_stays and src.size == left.size == right.size
+                        assert (dst is src) == identity
+                        if identity:
+                            assert np.array_equal(right[dst], left)
+                            shared += 1
+        assert shared > 0
 
 
 class TestExpurgatedToy:

@@ -117,14 +117,15 @@ def _engine(trellis, prior, beta_final):
 
     One backward pass holds a single scaled beta at a time.  Each section
     gathers beta per label in left-state order, 0 where a left state has no
-    edge of that label, so every section takes the same update.  A section
-    that adds no state (its 0-edges leave every left state and both depths
-    have as many states) has the identity as its 0-edges, so beta itself is
-    its 0-gather; at an all-zero column the 1-edges are the identity too, and
-    one product serves both labels.  These skip copies, not arithmetic, so
-    the result is the same to the bit.  The beta and the two gathers live in
-    three (max states, K) work arrays allocated once per call, so a complete
-    trellis allocates nothing per depth.
+    edge of that label, so every section takes the same update.  A label
+    whose destination array is its source array keeps every state in place
+    (`_assemble` shares the array exactly there), so beta itself is its
+    gather, and where both labels do, one product serves both.  This skips
+    copies, not arithmetic: a section built with separate arrays takes the
+    general path to the same bits.  Beta lives in `home`; `spare` takes a
+    0-gather and then swaps with `home`, and `gather1` takes the 1-gather.
+    These three (max states, K) arrays are allocated once per call, so a
+    complete trellis allocates nothing per depth.
 
     Raises NotASyndromeError, before any other work, when a column of
     beta_final is all zero.  Returns lapp (n, K), log evidence (K,), section
@@ -149,20 +150,19 @@ def _engine(trellis, prior, beta_final):
     b_log[n] = np.log(d)
     log_evidence = np.log(alpha[n] @ b) + a_log[n] + b_log[n]
     width = max(trellis.state_counts)
-    work = [b if b.shape[0] == width else np.empty((width, k))]
-    work += [np.empty((width, k)) for _ in range(2)]
-    slot = 0  # the work array that holds b, when b is one
+    home = b if b.shape[0] == width else np.empty((width, k))
+    spare, gather1 = np.empty((width, k)), np.empty((width, k))
     for ell in range(n - 1, -1, -1):
         sec = trellis.sections[ell]
         a = alpha[ell]
-        zslot, oslot = (i for i in range(3) if i != slot)
-        bz, bo = work[zslot][: a.size], work[oslot][: a.size]
-        stays = sec.zero_src.size == a.size == b.shape[0]  # the 0-edges are the identity
-        if stays:
-            bz, zslot = b, slot
+        bo = gather1[: a.size]
+        if sec.zero_dst is sec.zero_src:  # the 0-edges keep every state in place
+            bz = b
         else:
+            bz = spare[: a.size]
             _gather(bz, b, sec.zero_src, sec.zero_dst)
-        if stays and trellis.column_masks[ell] == 0:  # so are the 1-edges
+            home, spare = spare, home
+        if bz is b and sec.one_dst is sec.one_src:  # so do the 1-edges
             s = a @ b
             u0[ell] = g0 * s
             u1[ell] = g1 * s
@@ -174,7 +174,7 @@ def _engine(trellis, prior, beta_final):
             bo *= g1
         bz *= g0
         bz += bo
-        b, slot = bz, zslot
+        b = bz
         c = b.sum(axis=0)
         b /= c
         b_log[ell] = b_log[ell + 1] + np.log(c)

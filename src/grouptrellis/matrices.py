@@ -19,6 +19,17 @@ _GF64_PRIMITIVE = 0b1000011  # x**6 + x + 1, primitive over GF(2)
 #: Largest hypergraph incidence matrix built, in columns (k-subsets).
 MAX_COLUMNS = 1 << 20
 
+#: Largest matrix generated or read, in entries (tests x elements); checked
+#: before any array of that size is allocated.
+MAX_ENTRIES = 1 << 24
+
+
+def _check_entries(m, n):
+    if m * n > MAX_ENTRIES:
+        raise SizeLimitError(
+            f"a {m}x{n} matrix has {m * n} entries, over the guard of {MAX_ENTRIES}"
+        )
+
 
 def hypergraph_incidence(vertices: int, subset_size: int) -> TestMatrix:
     """Incidence matrix of the complete k-uniform hypergraph on `vertices` nodes.
@@ -36,6 +47,7 @@ def hypergraph_incidence(vertices: int, subset_size: int) -> TestMatrix:
         raise SizeLimitError(
             f"C({vertices}, {subset_size}) = {count} columns exceeds the guard {MAX_COLUMNS}"
         )
+    _check_entries(vertices, count)
     members = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(vertices), subset_size)),
         dtype=np.intp,
@@ -72,6 +84,7 @@ def bernoulli_matrix(m: int, n: int, density: float, seed: int) -> TestMatrix:
     """Random matrix with i.i.d. Bernoulli(density) entries, reproducible by seed."""
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must lie in [0, 1], got {density}")
+    _check_entries(m, n)
     rng = np.random.Generator(np.random.Philox(key=seed))
     return TestMatrix((rng.random((m, n)) < density).astype(np.uint8))
 
@@ -100,6 +113,7 @@ def read_matrix(path) -> TestMatrix:
         raise MatrixFormatError(f"header must hold two integers, got {lines[0]!r}") from None
     if m < 1 or n < 1:
         raise MatrixFormatError(f"header dimensions must be positive, got {m} {n}")
+    _check_entries(m, n)
     if len(lines) - 1 != m:
         raise MatrixFormatError(f"expected {m} matrix rows, found {len(lines) - 1}")
     rows = np.zeros((m, n), dtype=np.uint8)

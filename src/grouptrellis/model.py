@@ -79,13 +79,7 @@ class TestMatrix:
         m, n = arr.shape
         if m < 1 or n < 1:
             raise ValueError(f"matrix must have at least one row and one column, got {m}x{n}")
-        if arr.dtype == bool:
-            arr = arr.astype(np.uint8)
-        if not np.issubdtype(arr.dtype, np.integer):
-            raise ValueError(f"matrix entries must be integers, got dtype {arr.dtype}")
-        if arr.min() < 0 or arr.max() > 1:
-            raise ValueError("matrix entries must be 0 or 1")
-        arr = np.ascontiguousarray(arr, dtype=np.uint8)
+        arr = as_bit_vector(arr.reshape(-1), None, "matrix").reshape(m, n)
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 

@@ -169,7 +169,36 @@ def _count_events(lapp, x, thresholds, tie_defective):
     return fa.astype(np.int64), sorted_md.size - md.astype(np.int64), sorted_fa.size, sorted_md.size
 
 
-def _simulate(matrix, prior, noise, thresholds, tie_defective, trials, seed, workers):
+def sweep_roc(
+    matrix: TestMatrix,
+    prior: Prior,
+    noise,
+    thresholds,
+    trials: int,
+    seed: int,
+    tie_defective: bool = True,
+    workers: int = 1,
+    matrix_label: str = "matrix",
+) -> RocCurve:
+    """Estimate an ROC curve over a grid of thresholds with shared trials.
+
+    All thresholds reuse the same simulated trials, so the curve is exactly
+    monotone up to ties.  Thresholds are sorted ascending; duplicates are
+    rejected to keep CSV rows unambiguous.  One threshold rule's operating
+    point is `.points[0]` of a sweep over `[rule.threshold]` with
+    `rule.tie_defective`.  At most `os.cpu_count()` of the `workers` threads
+    start, so memory is O(min(workers, CPUs) x CHUNK_TRIALS x n + distinct
+    outcomes x n).  Raises ValueError, before any trellis exists, for an
+    empty, NaN or repeated threshold, a trial or worker count below one, or a
+    channel other than Noiseless or Bsc.
+    """
+    lam = np.sort(np.asarray(thresholds, dtype=float))
+    if lam.size == 0:
+        raise ValueError("threshold grid must not be empty")
+    if np.any(np.isnan(lam)):
+        raise ValueError("thresholds must not contain NaN")
+    if lam.size > 1 and np.any(lam[1:] == lam[:-1]):
+        raise ValueError("thresholds must be distinct")
     if trials < 1:
         raise ValueError(f"trial count must be positive, got {trials}")
     if not isinstance(noise, (Noiseless, Bsc)):
@@ -179,15 +208,14 @@ def _simulate(matrix, prior, noise, thresholds, tie_defective, trials, seed, wor
     # a round holds one sampled chunk and one thread per worker
     workers = min(workers, os.cpu_count() or 1)
     trellis = build_complete(matrix)
-    thresholds = np.asarray(thresholds, dtype=float)
     jobs = [
         (index, min(CHUNK_TRIALS, trials - start))
         for index, start in enumerate(range(0, trials, CHUNK_TRIALS))
     ]
     keys = np.zeros(0, dtype=np.int64)  # sorted packed outcomes drawn so far
     table = np.zeros((0, matrix.n))  # their lapp rows
-    fa_events = np.zeros(thresholds.size, dtype=np.int64)
-    md_events = np.zeros(thresholds.size, dtype=np.int64)
+    fa_events = np.zeros(lam.size, dtype=np.int64)
+    md_events = np.zeros(lam.size, dtype=np.int64)
     fa_trials = 0
     md_trials = 0
 
@@ -199,7 +227,7 @@ def _simulate(matrix, prior, noise, thresholds, tie_defective, trials, seed, wor
 
     def count(chunk):
         x, packed, _ = chunk
-        return _count_events(table[np.searchsorted(keys, packed)], x, thresholds, tie_defective)
+        return _count_events(table[np.searchsorted(keys, packed)], x, lam, tie_defective)
 
     with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
         pmap = map if pool is None else pool.map
@@ -222,47 +250,13 @@ def _simulate(matrix, prior, noise, thresholds, tie_defective, trials, seed, wor
                 md_events += md
                 fa_trials += n_fa
                 md_trials += n_md
-    return fa_events, md_events, fa_trials, md_trials
-
-
-def sweep_roc(
-    matrix: TestMatrix,
-    prior: Prior,
-    noise,
-    thresholds,
-    trials: int,
-    seed: int,
-    tie_defective: bool = True,
-    workers: int = 1,
-    matrix_label: str = "matrix",
-) -> RocCurve:
-    """Estimate an ROC curve over a grid of thresholds with shared trials.
-
-    All thresholds reuse the same simulated trials, so the curve is exactly
-    monotone up to ties.  Thresholds are sorted ascending; duplicates are
-    rejected to keep CSV rows unambiguous.  One threshold rule's operating
-    point is `.points[0]` of a sweep over `[rule.threshold]` with
-    `rule.tie_defective`.  At most `os.cpu_count()` of the `workers` threads
-    start, so memory is O(min(workers, CPUs) x CHUNK_TRIALS x n + distinct
-    outcomes x n).
-    """
-    lam = np.sort(np.asarray(thresholds, dtype=float))
-    if lam.size == 0:
-        raise ValueError("threshold grid must not be empty")
-    if np.any(np.isnan(lam)):
-        raise ValueError("thresholds must not contain NaN")
-    if lam.size > 1 and np.any(lam[1:] == lam[:-1]):
-        raise ValueError("thresholds must be distinct")
-    fa, md, fa_trials, md_trials = _simulate(
-        matrix, prior, noise, lam, tie_defective, trials, seed, workers
-    )
     points = tuple(
         OperatingPoint(
             threshold=float(lam[k]),
             tie_defective=tie_defective,
-            fa_events=int(fa[k]),
+            fa_events=int(fa_events[k]),
             fa_trials=fa_trials,
-            md_events=int(md[k]),
+            md_events=int(md_events[k]),
             md_trials=md_trials,
         )
         for k in range(lam.size)

@@ -192,6 +192,17 @@ class TestGenmat:
         target = tmp_path / "no" / "such" / "dir" / "x.txt"
         assert main(["genmat", "--kind", "ebch", "--output", str(target)]) == 3
 
+    def test_oversize_matrix_is_a_validation_error(self, monkeypatch, tmp_path, capsys):
+        from grouptrellis import matrices
+
+        monkeypatch.setattr(matrices, "MAX_ENTRIES", 1000)
+        out = tmp_path / "x.txt"
+        assert main(["genmat", "--kind", "bernoulli", "--rows", "40", "--cols", "40",
+                     "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: a 40x40 matrix has 1600 entries, over the guard of 1000\n"
+        assert not out.exists()
+
 
 class TestOracleCheck:
     def test_small_sweep_passes(self, capsys):

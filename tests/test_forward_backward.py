@@ -28,6 +28,7 @@ from grouptrellis import (
     posterior_table,
     run,
 )
+from grouptrellis.trellis import EdgeSection
 from helpers import reference_passes, walk_partial_syndromes
 
 T_101 = np.array([1, 0, 1], dtype=np.uint8)
@@ -331,13 +332,14 @@ def _with_zero_columns(rng):
 
 
 def _identity_sections(trellis):
-    """(sections that add no state, all-zero columns) of a trellis."""
+    """(depths of the sections that add no state, depths of all-zero columns)."""
     counts = trellis.state_counts
-    same = sum(
-        sec.zero_src.size == counts[ell] == counts[ell + 1]
+    same = [
+        ell
         for ell, sec in enumerate(trellis.sections)
-    )
-    return same, int((trellis.column_masks == 0).sum())
+        if sec.zero_src.size == counts[ell] == counts[ell + 1]
+    ]
+    return same, np.flatnonzero(trellis.column_masks == 0).tolist()
 
 
 class TestBitwiseReference:
@@ -377,14 +379,19 @@ class TestBitwiseReference:
             self._assert_run_matches(complete, prior, Bsc(0.1), noisy[0])
             t = clean[0]
             for trellis in (complete, expurgate(complete, t), build_reduced(matrix, t)):
-                seen += _identity_sections(trellis)
+                seen += [len(depths) for depths in _identity_sections(trellis)]
                 self._assert_run_matches(trellis, prior, Noiseless(), t)
         assert (seen > 0).all()
 
     def test_benchmark_design_runs_both_shortcuts(self):
         matrix = bernoulli_matrix(12, 48, 0.15, 0)
         trellis = build_complete(matrix)
-        assert _identity_sections(trellis) == (24, 8)
+        same, zero = _identity_sections(trellis)
+        assert (len(same), len(zero)) == (24, 8)
+        # the engine recognises an identity label by its shared array alone
+        sections = list(enumerate(trellis.sections))
+        assert [ell for ell, sec in sections if sec.zero_dst is sec.zero_src] == same
+        assert [ell for ell, sec in sections if sec.one_dst is sec.one_src] == zero
         prior = Prior(0.02)
         rng = np.random.Generator(np.random.Philox(key=43))
         xs = (rng.random((40, matrix.n)) < 0.05).astype(np.uint8)
@@ -394,6 +401,45 @@ class TestBitwiseReference:
         want = reference_passes(trellis, prior, beta_final)[0].T
         assert posterior_table(trellis, prior, Bsc(0.05), rows).tobytes() == want.tobytes()
         self._assert_run_matches(trellis, prior, Bsc(0.05), rows[0])
+
+    def test_sections_without_shared_arrays_give_the_same_bits(self):
+        # copies share no array, so every section takes the general path
+        rng = np.random.Generator(np.random.Philox(key=53))
+        matrices = [bernoulli_matrix(12, 48, 0.15, 0)]
+        matrices += [_with_zero_columns(rng) for _ in range(12)]
+        for matrix in matrices:
+            prior = Prior(0.02)
+            complete = build_complete(matrix)
+            xs = (rng.random((9, matrix.n)) < 0.1).astype(np.uint8)
+            clean = np.stack([compute_syndrome(matrix, x) for x in xs])
+            noisy = clean ^ (rng.random(clean.shape) < 0.1).astype(np.uint8)
+            t = clean[0]
+            for rows in (noisy, noisy[:1]):
+                want = posterior_table(complete, prior, Bsc(0.1), rows)
+                got = posterior_table(_copied_sections(complete), prior, Bsc(0.1), rows)
+                assert got.tobytes() == want.tobytes()
+            cases = [(complete, Bsc(0.1), noisy[0]), (complete, Noiseless(), t)]
+            cases += [(expurgate(complete, t), Noiseless(), t)]
+            cases += [(build_reduced(matrix, t), Noiseless(), t)]
+            for trellis, noise, outcome in cases:
+                want = run(trellis, prior, noise, outcome)
+                got = run(_copied_sections(trellis), prior, noise, outcome)
+                assert got.lapp.tobytes() == want.lapp.tobytes()
+                assert got.log_evidence == want.log_evidence
+                assert got.section_log_evidence.tobytes() == want.section_log_evidence.tobytes()
+                assert got.alpha_log_scale.tobytes() == want.alpha_log_scale.tobytes()
+                pairs = zip(got.alpha, want.alpha, strict=True)
+                assert all(x.tobytes() == y.tobytes() for x, y in pairs)
+
+
+def _copied_sections(trellis):
+    """The trellis with every edge array copied, so no section shares one."""
+    sections = tuple(
+        EdgeSection(*(getattr(sec, f.name).copy() for f in dataclasses.fields(sec)))
+        for sec in trellis.sections
+    )
+    assert not any(s.zero_dst is s.zero_src or s.one_dst is s.one_src for s in sections)
+    return dataclasses.replace(trellis, sections=sections)
 
 
 class TestValidation:

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from grouptrellis import (
     bernoulli_matrix,
     ebch_64_57_parity_check,
     hypergraph_incidence,
+    matrices,
     read_matrix,
     write_matrix,
 )
@@ -104,6 +106,34 @@ class TestBernoulli:
     def test_density_validation(self):
         with pytest.raises(ValueError):
             bernoulli_matrix(3, 4, 1.5, seed=0)
+
+
+class TestEntryGuard:
+    """An oversize matrix raises SizeLimitError before any array of its size exists."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: hypergraph_incidence(12, 6), lambda: bernoulli_matrix(40, 40, 0.5, 0)],
+        ids=["hypergraph", "bernoulli"],
+    )
+    def test_generators_fail_before_they_allocate(self, monkeypatch, build):
+        build()  # 11,088 and 1,600 entries pass the real guard
+        monkeypatch.setattr(matrices, "MAX_ENTRIES", 1000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError, match="over the guard of 1000"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8192  # the exception's own bytes; the float draw alone is 12,800
+
+    def test_reader_checks_the_header(self, monkeypatch, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("40 40\n" + "0 " * 39 + "0\n")  # one row of 40: only the header counts
+        monkeypatch.setattr(matrices, "MAX_ENTRIES", 1000)
+        with pytest.raises(SizeLimitError, match="40x40 matrix has 1600 entries"):
+            read_matrix(path)
 
 
 class TestTextFormat:

@@ -45,6 +45,14 @@ class TestTestMatrix:
         with pytest.raises(ValueError):
             toy_matrix.entries[0, 0] = 0
 
+    def test_caller_array_stays_writeable_and_unshared(self):
+        entries = np.array([[1, 1, 0], [0, 1, 1]], np.uint8)
+        mat = TestMatrix(entries)
+        assert entries.flags.writeable
+        entries[0, 0] = 0
+        assert mat.entries.tolist() == [[1, 1, 0], [0, 1, 1]]
+        assert mat.column_masks.tolist() == [1, 3, 2]
+
     def test_bool_entries_accepted(self):
         mat = TestMatrix(TOY_ENTRIES.astype(bool))
         assert np.array_equal(mat.entries, TOY_ENTRIES)

@@ -13,6 +13,7 @@ check failed.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -248,6 +249,7 @@ def cmd_oracle_check(args):
     return EXIT_OK
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="grouptrellis",

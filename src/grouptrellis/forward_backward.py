@@ -22,12 +22,13 @@ quantities fold the accumulated logs back in.
 The forward pass does not depend on the outcome, so it is computed once per
 (trellis, prior) and cached with the trellis (for its latest prior, so the
 cache never outgrows the trellis).  The backward pass is batched:
-`posterior_table` stacks many outcome vectors as columns of the final beta
-matrix, and the pass streams from the last depth to the first holding one
-beta at a time, forming the label sums U0/U1 from the same gathers.  No
-per-depth beta is kept, so memory is O(max states x K) rather than
-O(total states x K), which is what makes large Monte Carlo sweeps cheap.
-`run` is the same pass with a single column.
+`posterior_table` stacks outcome vectors as columns of the final beta
+matrix, one fixed-width column block at a time, and the pass streams from
+the last depth to the first holding one beta at a time, forming the label
+sums U0/U1 from the same gathers.  No per-depth beta is kept and no block
+is wider than `_BLOCK_BYTES` allows, so memory is O(max states x block) for
+the pass plus O(K x n) for the lapp table, which is what makes large Monte
+Carlo sweeps cheap.  `run` is the same pass with a single column.
 """
 
 from __future__ import annotations
@@ -45,6 +46,10 @@ from .trellis import Trellis
 #: trellis bounds the cache by the trellis's own state count, and an entry
 #: goes away with its trellis.
 _ALPHA_CACHE = weakref.WeakKeyDictionary()
+
+#: Bytes of one backward-pass work array in `posterior_table`, which sets
+#: its column block width.
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -108,7 +113,7 @@ def _gather(out, b, src, dst):
         out[src] = b[dst]
 
 
-def _engine(trellis, prior, beta_final):
+def _engine(trellis, prior, beta_final, first_row=0):
     """Posteriors for the columns of beta_final, which is (final states, K).
 
     beta_final is consumed: it is normalised in place and, when it is as
@@ -125,22 +130,25 @@ def _engine(trellis, prior, beta_final):
     general path to the same bits.  Beta lives in `home`; `spare` takes a
     0-gather and then swaps with `home`, and `gather1` takes the 1-gather.
     These three (max states, K) arrays are allocated once per call, so a
-    complete trellis allocates nothing per depth.
+    complete trellis allocates nothing per depth; `posterior_table` bounds K
+    by its column block.
 
     Raises NotASyndromeError, before any other work, when a column of
-    beta_final is all zero.  Returns lapp (n, K), log evidence (K,), section
-    log evidence (n, K) and the forward pass (alpha, alpha log scales) it
-    used.
+    beta_final is all zero; its message numbers the columns from
+    `first_row`, the caller's row of column 0.  Returns lapp (n, K), log
+    evidence (K,), section log evidence (n, K) and the forward pass (alpha,
+    alpha log scales) it used.
     """
+    n, k = trellis.n, beta_final.shape[1]
     d = beta_final.sum(axis=0)
     dead = np.flatnonzero(d == 0.0)
     if dead.size:
         raise NotASyndromeError(
-            f"{dead.size} outcome row(s) have zero probability at every reachable "
-            f"syndrome (first at row {int(dead[0])})"
+            f"outcome row {first_row + int(dead[0])} has zero probability at every "
+            f"reachable syndrome ({dead.size} such row(s) in rows {first_row}-"
+            f"{first_row + k - 1})"
         )
     g0, g1 = 1.0 - prior.delta, prior.delta  # edge weights gamma of labels 0 and 1
-    n, k = trellis.n, beta_final.shape[1]
     alpha, a_log = _forward(trellis, prior)
     u0 = np.empty((n, k))
     u1 = np.empty((n, k))
@@ -226,7 +234,15 @@ def posterior_table(trellis: Trellis, prior: Prior, noise, outcomes) -> np.ndarr
 
     `outcomes` is a (K, m) binary array; the result is (K, n).  Requires a
     complete trellis (the batch spans different final conditions).  With a
-    noiseless channel every row must be a reachable syndrome.
+    noiseless channel every row must be a reachable syndrome; the error
+    names the first dead row of the first block that has one.
+
+    The backward pass runs over column blocks whose work arrays take about
+    `_BLOCK_BYTES` each, so memory is O(max states x block) for the pass
+    plus O(K x n) for the result.  Every block is a multiple of 8 columns
+    wide except the last, which takes in a tail narrower than 8: on those
+    widths each column's `a @ b` and column sum round the same whatever the
+    block, so the bits equal one pass over the whole batch.
     """
     if trellis.outcome is not None:
         raise ValueError("posterior tables require a complete trellis")
@@ -236,8 +252,16 @@ def posterior_table(trellis: Trellis, prior: Prior, noise, outcomes) -> np.ndarr
     if rows.shape[0] == 0:
         return np.zeros((0, trellis.n))
     rows = as_bit_vector(rows.reshape(-1), None, "outcome array").reshape(rows.shape)
-    beta_final = noise.likelihood_table(rows, trellis.states[-1], trellis.m)
-    return _engine(trellis, prior, beta_final)[0].T
+    k = rows.shape[0]
+    width = max(8, _BLOCK_BYTES // (8 * max(trellis.state_counts)) // 8 * 8)
+    out = np.empty((k, trellis.n))
+    lo = 0
+    while lo < k:
+        hi = lo + width if k - lo - width >= 8 else k
+        beta_final = noise.likelihood_table(rows[lo:hi], trellis.states[-1], trellis.m)
+        out[lo:hi] = _engine(trellis, prior, beta_final, lo)[0].T
+        lo = hi
+    return out
 
 
 def posterior_pairs(result) -> np.ndarray:

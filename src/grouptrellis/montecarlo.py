@@ -187,10 +187,11 @@ def sweep_roc(
     rejected to keep CSV rows unambiguous.  One threshold rule's operating
     point is `.points[0]` of a sweep over `[rule.threshold]` with
     `rule.tie_defective`.  At most `os.cpu_count()` of the `workers` threads
-    start, so memory is O(min(workers, CPUs) x CHUNK_TRIALS x n + distinct
-    outcomes x n).  Raises ValueError, before any trellis exists, for an
-    empty, NaN or repeated threshold, a trial or worker count below one, or a
-    channel other than Noiseless or Bsc.
+    start, so memory is O(min(workers, CPUs) x (CHUNK_TRIALS x n + max states
+    x block)) for the sampled chunks and the engine's column blocks, plus
+    O(distinct outcomes x n) for the lapp table.  Raises ValueError, before
+    any trellis exists, for an empty, NaN or repeated threshold, a trial or
+    worker count below one, or a channel other than Noiseless or Bsc.
     """
     lam = np.sort(np.asarray(thresholds, dtype=float))
     if lam.size == 0:

@@ -275,3 +275,31 @@ class TestEntryPoint:
         with pytest.raises(SystemExit) as err:
             main(["app", "--matrix"])
         assert err.value.code == 2
+
+    def test_repeated_calls_in_one_process_agree(self, toy_path, tmp_path, capsys):
+        # the parser is built once per process and serves every later call
+        calls = [
+            ["app", "--matrix", toy_path, "--delta", "0.1", "--outcome", "101"],
+            ["roc", "--matrix", toy_path, "--delta", "0.1", "--eps", "0.05",
+             "--trials", "300", "--lambdas", "0,1,2.5"],
+            ["app", "--matrix"],
+            ["genmat", "--kind", "hypergraph", "--vertices", "4", "--subset-size", "2",
+             "--output", str(tmp_path / "h.txt")],
+            ["app", "--matrix", toy_path, "--delta", "0.3", "--outcome", "100",
+             "--trellis", "reduced"],
+        ]
+
+        def outcomes():
+            seen = []
+            for argv in calls:
+                try:
+                    code = main(argv)
+                except SystemExit as err:
+                    code = err.code
+                seen.append((code, capsys.readouterr().out))
+            return seen
+
+        first = outcomes()
+        assert [code for code, _ in first] == [0, 0, 2, 0, 0]
+        assert outcomes() == first
+        assert outcomes() == first

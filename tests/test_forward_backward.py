@@ -442,6 +442,87 @@ def _copied_sections(trellis):
     return dataclasses.replace(trellis, sections=sections)
 
 
+@pytest.fixture
+def narrowest_blocks(monkeypatch):
+    """A one-byte budget gives every trellis the narrowest block, 8 columns."""
+    monkeypatch.setattr(forward_backward, "_BLOCK_BYTES", 1)
+
+
+def _block_spy(monkeypatch):
+    """A list that records (first row, width) of every later `_engine` call."""
+    blocks = []
+    engine = forward_backward._engine
+
+    def spy(trellis, prior, beta_final, first_row=0):
+        blocks.append((first_row, beta_final.shape[1]))
+        return engine(trellis, prior, beta_final, first_row)
+
+    monkeypatch.setattr(forward_backward, "_engine", spy)
+    return blocks
+
+
+class TestColumnBlocks:
+    """`posterior_table` runs its batch in column blocks, each a multiple of 8
+    wide but the last, which takes in a shorter tail; the lapp bits equal one
+    pass over the whole batch."""
+
+    def test_block_widths(self, narrowest_blocks, monkeypatch):
+        blocks = _block_spy(monkeypatch)
+        trellis = build_complete(bernoulli_matrix(5, 12, 0.3, 0))
+        expected = {
+            1: [(0, 1)],
+            7: [(0, 7)],
+            8: [(0, 8)],
+            15: [(0, 15)],
+            16: [(0, 8), (8, 8)],
+            23: [(0, 8), (8, 15)],
+            34: [(0, 8), (8, 8), (16, 8), (24, 10)],
+        }
+        for k, want in expected.items():
+            blocks.clear()
+            posterior_table(trellis, PRIOR, Noiseless(), np.zeros((k, trellis.m), np.uint8))
+            assert blocks == want
+
+    def test_default_width_on_the_benchmark_design(self, monkeypatch):
+        blocks = _block_spy(monkeypatch)
+        trellis = build_complete(bernoulli_matrix(12, 48, 0.15, 0))
+        posterior_table(trellis, PRIOR, Bsc(0.05), np.zeros((100, trellis.m), np.uint8))
+        assert blocks == [(0, 32), (32, 32), (64, 36)]
+
+    def test_blocked_bits_equal_one_pass(self, narrowest_blocks):
+        rng = np.random.Generator(np.random.Philox(key=59))
+        matrices = [bernoulli_matrix(12, 48, 0.15, 0)]
+        matrices += [_with_zero_columns(rng) for _ in range(6)]
+        for matrix in matrices:
+            prior = Prior(float(rng.choice([0.02, 0.1])))
+            trellis = build_complete(matrix)
+            xs = (rng.random((40, matrix.n)) < 0.1).astype(np.uint8)
+            clean = np.stack([compute_syndrome(matrix, x) for x in xs])
+            noisy = clean ^ (rng.random(clean.shape) < 0.05).astype(np.uint8)
+            for noise, rows in ((Bsc(0.05), noisy), (Noiseless(), clean)):
+                for k in range(1, 41):
+                    beta_final = noise.likelihood_table(rows[:k], trellis.states[-1], matrix.m)
+                    want = reference_passes(trellis, prior, beta_final)[0].T
+                    got = posterior_table(trellis, prior, noise, rows[:k])
+                    assert got.tobytes() == want.tobytes(), (matrix.m, matrix.n, noise, k)
+
+    def test_dead_row_of_a_later_block_is_named(self, narrowest_blocks):
+        twin = TestMatrix(np.array([[1, 1], [1, 1]], dtype=np.uint8))
+        rows = np.ones((32, 2), np.uint8)
+        rows[20] = [1, 0]  # no defective set fires only one of two identical tests
+        with pytest.raises(NotASyndromeError, match=r"row 20 .*\(1 such row\(s\) in rows 16-23\)"):
+            posterior_table(build_complete(twin), PRIOR, Noiseless(), rows)
+
+    def test_peak_does_not_grow_with_the_batch(self):
+        matrix = bernoulli_matrix(10, 40, 0.2, 0)
+        trellis = build_complete(matrix)
+        rows = (np.random.default_rng(1).random((2000, matrix.m)) < 0.5).astype(np.uint8)
+        posterior_table(trellis, PRIOR, Bsc(0.1), rows[:1])  # caches alpha
+        small = _traced_peak(lambda: posterior_table(trellis, PRIOR, Bsc(0.1), rows[:200]))
+        large = _traced_peak(lambda: posterior_table(trellis, PRIOR, Bsc(0.1), rows))
+        assert large - small <= rows.shape[0] * (matrix.n * 8 + matrix.m)
+
+
 class TestValidation:
     def test_wrong_outcome_length(self, toy_matrix):
         with pytest.raises(ValueError):

@@ -113,6 +113,16 @@ def _gather(out, b, src, dst):
         out[src] = b[dst]
 
 
+def _column_sums(b):
+    """b.sum(axis=0), bit for bit, for a C-ordered (states, K) array.
+
+    With K >= 2 both add the rows one after another in row order, and einsum
+    does it in about half the time; with K = 1 sum is pairwise and einsum is
+    not, so one column keeps sum.
+    """
+    return b.sum(axis=0) if b.shape[1] == 1 else np.einsum("ij->j", b)
+
+
 def _engine(trellis, prior, beta_final, first_row=0):
     """Posteriors for the columns of beta_final, which is (final states, K).
 
@@ -133,6 +143,11 @@ def _engine(trellis, prior, beta_final, first_row=0):
     complete trellis allocates nothing per depth; `posterior_table` bounds K
     by its column block.
 
+    Column sums (the evidence of beta_final and each depth's scale) go
+    through `_column_sums`: with K >= 2 it adds the states in order, as
+    `sum(axis=0)` does, and with K = 1 it keeps sum's pairwise order, so
+    `run` and the K = 1 blocks of `posterior_table` keep their bits.
+
     Raises NotASyndromeError, before any other work, when a column of
     beta_final is all zero; its message numbers the columns from
     `first_row`, the caller's row of column 0.  Returns lapp (n, K), log
@@ -140,7 +155,7 @@ def _engine(trellis, prior, beta_final, first_row=0):
     alpha log scales) it used.
     """
     n, k = trellis.n, beta_final.shape[1]
-    d = beta_final.sum(axis=0)
+    d = _column_sums(beta_final)
     dead = np.flatnonzero(d == 0.0)
     if dead.size:
         raise NotASyndromeError(
@@ -183,7 +198,7 @@ def _engine(trellis, prior, beta_final, first_row=0):
         bz *= g0
         bz += bo
         b = bz
-        c = b.sum(axis=0)
+        c = _column_sums(b)
         b /= c
         b_log[ell] = b_log[ell + 1] + np.log(c)
     with np.errstate(divide="ignore"):

@@ -2,14 +2,19 @@
 
 Trials draw a defectivity vector from the prior, push it through the OR
 channel and the noise model, and score the exact posterior decision against
-the truth.  Two facts keep this fast:
+the truth.  Three facts keep this fast:
 
+* a trial's outcome is packed as an integer, the OR of its defective
+  elements' `column_masks` XOR the packed channel flips, and only outcomes
+  new to the sweep are unpacked into rows;
 * the posterior log-ratios depend on the trial only through the observed
   outcome vector, so each outcome goes through the engine once: chunk c's
   batch is the outcomes that no chunk before c drew, and all batches share
   one forward pass;
-* per-threshold counting only needs the sorted lapp values split by ground
-  truth, so a whole threshold grid is swept with two searchsorted calls.
+* a decision at threshold k only asks whether k reaches the first threshold
+  that flags the element, so each lapp value is turned into that index once
+  (two searchsorted calls) and a chunk counts a whole threshold grid with
+  one bincount and a cumulative sum.
 
 Reproducibility: trials are partitioned into fixed-size chunks and chunk c
 uses a counter-based generator advanced to a lane derived from c alone.
@@ -140,33 +145,52 @@ def default_threshold_grid(prior: Prior) -> np.ndarray:
 
 
 def _sample_chunk(matrix, prior, noise, seed, chunk_index, trials):
-    """Draw one chunk of trials: (defectivity rows, packed outcomes, outcome rows)."""
+    """Draw one chunk of trials: (defectivity rows, packed outcomes)."""
     bitgen = np.random.Philox(key=seed)
     bitgen.advance(chunk_index * _SEED_STRIDE)
     rng = np.random.Generator(bitgen)
     # defectivity first, then channel flips: with epsilon = 0 the flip mask is
     # all-false and the draw order makes estimates match the noiseless channel
     x = rng.random((trials, matrix.n)) < prior.delta
-    syndromes = (x.astype(np.int32) @ matrix.entries.T.astype(np.int32)) > 0
+    # a trial's syndrome is the OR of its defective elements' columns
+    packed = np.bitwise_or.reduce(x * matrix.column_masks, axis=1)
     if isinstance(noise, Bsc):
-        outcomes = syndromes ^ (rng.random((trials, matrix.m)) < noise.epsilon)
-    else:
-        outcomes = syndromes
-    bits = outcomes.astype(np.uint8)
-    return x, _pack_rows(bits, matrix.m), bits
+        packed ^= _pack_rows(rng.random((trials, matrix.m)) < noise.epsilon, matrix.m)
+    return x, packed
 
 
-def _count_events(lapp, x, thresholds, tie_defective):
-    """(fa_events, md_events, fa_trials, md_trials) of one chunk for every threshold at once."""
-    sorted_fa = np.sort(lapp[~x])
-    sorted_md = np.sort(lapp[x])
-    # the tie rule of decision.decide: <= only for a finite lambda
-    right = tie_defective & np.isfinite(thresholds)
-    fa, md = (
-        np.where(right, v.searchsorted(thresholds, "right"), v.searchsorted(thresholds, "left"))
-        for v in (sorted_fa, sorted_md)
-    )
-    return fa.astype(np.int64), sorted_md.size - md.astype(np.int64), sorted_fa.size, sorted_md.size
+def _unpack(keys, m):
+    """Outcome rows (uint8, one per key) of packed outcomes, bit i from 2**i."""
+    return ((keys[:, None] >> np.arange(m)) & 1).astype(np.uint8)
+
+
+def _threshold_index(lapp, thresholds, tie_defective):
+    """Index of the first threshold that flags each lapp value, len(thresholds) if none.
+
+    Thresholds are sorted and distinct.  The rule is decision.decide's: a
+    value is flagged when it lies below the threshold, or on it when
+    tie_defective holds and the threshold is finite.  So a value flagged at
+    index k is flagged at every index above k.
+    """
+    left = np.searchsorted(thresholds, lapp, "left")
+    right = np.searchsorted(thresholds, lapp, "right")
+    if not tie_defective:
+        return right
+    # left < right only for a value equal to a threshold, finite iff the value is
+    return np.where((left < right) & np.isfinite(lapp), left, right)
+
+
+def _count_events(index, x, size):
+    """(fa_events, md_events, fa_trials, md_trials) of one chunk for every threshold at once.
+
+    `index` holds each trial element's first flagging threshold out of
+    `size`: an element is flagged at threshold k when its index is at most k.
+    Its integer type must hold 2 * size + 1.
+    """
+    codes = index + index.dtype.type(size + 1) * x  # defective elements count from size + 1
+    hist = np.bincount(codes.ravel(), minlength=2 * (size + 1))
+    clear, defective = hist.reshape(2, size + 1).cumsum(axis=1)
+    return clear[:size], defective[-1] - defective[:size], int(clear[-1]), int(defective[-1])
 
 
 def sweep_roc(
@@ -189,9 +213,12 @@ def sweep_roc(
     `rule.tie_defective`.  At most `os.cpu_count()` of the `workers` threads
     start, so memory is O(min(workers, CPUs) x (CHUNK_TRIALS x n + max states
     x block)) for the sampled chunks and the engine's column blocks, plus
-    O(distinct outcomes x n) for the lapp table.  Raises ValueError, before
-    any trellis exists, for an empty, NaN or repeated threshold, a trial or
-    worker count below one, or a channel other than Noiseless or Bsc.
+    O(distinct outcomes x n) for the table that keeps, per outcome and
+    element, the index of the first threshold that flags the element (one
+    byte each for grids of up to 127 thresholds) instead of the lapp.
+    Raises ValueError, before any trellis exists, for an empty, NaN or
+    repeated threshold, a trial or worker count below one, or a channel
+    other than Noiseless or Bsc.
     """
     lam = np.sort(np.asarray(thresholds, dtype=float))
     if lam.size == 0:
@@ -213,8 +240,9 @@ def sweep_roc(
         (index, min(CHUNK_TRIALS, trials - start))
         for index, start in enumerate(range(0, trials, CHUNK_TRIALS))
     ]
+    index_type = np.min_scalar_type(2 * lam.size + 1)  # the least type _count_events can use
     keys = np.zeros(0, dtype=np.int64)  # sorted packed outcomes drawn so far
-    table = np.zeros((0, matrix.n))  # their lapp rows
+    table = np.zeros((0, matrix.n), dtype=index_type)  # their threshold index rows
     fa_events = np.zeros(lam.size, dtype=np.int64)
     md_events = np.zeros(lam.size, dtype=np.int64)
     fa_trials = 0
@@ -224,11 +252,12 @@ def sweep_roc(
         return _sample_chunk(matrix, prior, noise, seed, *job)
 
     def engine(rows):
-        return posterior_table(trellis, prior, noise, rows)
+        lapp = posterior_table(trellis, prior, noise, rows)
+        return _threshold_index(lapp, lam, tie_defective).astype(index_type)
 
     def count(chunk):
-        x, packed, _ = chunk
-        return _count_events(table[np.searchsorted(keys, packed)], x, lam, tie_defective)
+        x, packed = chunk
+        return _count_events(table[np.searchsorted(keys, packed)], x, lam.size)
 
     with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
         pmap = map if pool is None else pool.map
@@ -237,12 +266,12 @@ def sweep_roc(
             # a chunk's batch is the outcomes that no earlier chunk drew, so the
             # batches, and with them the engine's lapp bits, follow chunk order
             seen, batches = keys, []
-            for _, packed, bits in chunks:
-                uniq, first = np.unique(packed, return_index=True)
-                fresh = ~np.isin(uniq, seen)
-                if fresh.any():
-                    seen = np.concatenate([seen, uniq[fresh]])
-                    batches.append(bits[first[fresh]])
+            for _, packed in chunks:
+                uniq = np.unique(packed)
+                fresh = uniq[~np.isin(uniq, seen)]
+                if fresh.size:
+                    seen = np.concatenate([seen, fresh])
+                    batches.append(_unpack(fresh, matrix.m))
             order = np.argsort(seen)
             table = np.concatenate([table, *pmap(engine, batches)])[order]
             keys = seen[order]

@@ -523,6 +523,27 @@ class TestColumnBlocks:
         assert large - small <= rows.shape[0] * (matrix.n * 8 + matrix.m)
 
 
+class TestColumnSums:
+    """The engine's column sums are `sum(axis=0)` bit for bit at every width."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 7, 3904])
+    def test_equal_to_numpy_sum(self, rows):
+        rng = np.random.Generator(np.random.Philox(key=rows))
+        for k in range(1, 41):
+            # exponents spread over 1e-300..1, as scaled beta entries are
+            b = 10.0 ** rng.uniform(-300.0, 0.0, (rows, k))
+            b[rng.random((rows, k)) < 0.1] = 0.0  # states a column cannot reach
+            assert forward_backward._column_sums(b).tobytes() == b.sum(axis=0).tobytes(), k
+
+    def test_on_leading_rows_of_a_work_array(self):
+        # the engine sums beta in the first a.size rows of a wider work array
+        rng = np.random.Generator(np.random.Philox(key=3))
+        work = rng.random((3904, 32))
+        for rows in (1, 2, 7, 1000):
+            b = work[:rows]
+            assert forward_backward._column_sums(b).tobytes() == b.sum(axis=0).tobytes()
+
+
 class TestValidation:
     def test_wrong_outcome_length(self, toy_matrix):
         with pytest.raises(ValueError):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grouptrellis import (
     Bsc,
@@ -19,6 +21,7 @@ from grouptrellis import (
     sweep_roc,
 )
 from grouptrellis import montecarlo
+from grouptrellis.model import _pack_rows
 from grouptrellis.montecarlo import CHUNK_TRIALS
 
 PAIR = TestMatrix(np.array([[1, 1, 0], [0, 1, 1]], dtype=np.uint8))
@@ -86,6 +89,73 @@ class TestCountingAgainstPerTrialDecisions:
             fa, md, _, _ = _replay_counts(PAIR, PRIOR, Noiseless(), [lam], tie, 300, 2)
             assert curve.points[0].fa_events == fa[0]
             assert curve.points[0].md_events == md[0]
+
+
+@st.composite
+def lapp_tables(draw):
+    """(thresholds, lapp table, truth): sorted distinct thresholds, some
+    infinite, and lapp values planted on them, one ulp beside them, infinite
+    or anywhere."""
+    finite = st.floats(-20.0, 20.0, allow_nan=False)
+    grid = draw(st.lists(st.one_of(finite, st.sampled_from([-math.inf, math.inf])),
+                         min_size=1, max_size=8, unique=True))
+    lam = np.sort(np.array(grid))
+    trials, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    beside = [*np.nextafter(lam, -math.inf), *np.nextafter(lam, math.inf)]
+    value = st.one_of(st.sampled_from([*grid, *beside, -math.inf, math.inf]), finite)
+    lapp = np.array(draw(st.lists(value, min_size=trials * n, max_size=trials * n)))
+    truth = draw(st.sampled_from(["clear", "defective", "mixed"]))
+    if truth == "mixed":
+        x = np.array(draw(st.lists(st.booleans(), min_size=trials * n, max_size=trials * n)))
+    else:
+        x = np.full(trials * n, truth == "defective")
+    return lam, lapp.reshape(trials, n), x.reshape(trials, n)
+
+
+class TestThresholdIndexCounting:
+    """Counts from the first-flagging-threshold index equal per-threshold decide()."""
+
+    @given(lapp_tables(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_counts_match_decide(self, case, tie_defective):
+        lam, lapp, x = case
+        index = montecarlo._threshold_index(lapp, lam, tie_defective)
+        index = index.astype(np.min_scalar_type(2 * lam.size + 1))  # as sweep_roc stores it
+        fa, md, n_fa, n_md = montecarlo._count_events(index, x, lam.size)
+        for k, threshold in enumerate(lam):
+            flags = decide(lapp, ThresholdRule(float(threshold), tie_defective)) == 1
+            assert fa[k] == np.sum(flags & ~x)
+            assert md[k] == np.sum(~flags & x)
+        assert (n_fa, n_md) == (np.sum(~x), np.sum(x))
+
+    def test_index_of_values_on_and_beside_thresholds(self):
+        lam = np.array([-math.inf, -1.0, 0.0, 2.0, math.inf])
+        lapp = np.array([-math.inf, -1.0, -0.5, 0.0, 2.0, 3.0, math.inf, math.nan])
+        on_ties = montecarlo._threshold_index(lapp, lam, True)
+        strict = montecarlo._threshold_index(lapp, lam, False)
+        # -inf is flagged at every threshold but -inf, a value on a finite
+        # threshold there only under the tie rule, +inf and NaN nowhere
+        assert on_ties.tolist() == [1, 1, 2, 2, 3, 4, 5, 5]
+        assert strict.tolist() == [1, 2, 2, 3, 4, 4, 5, 5]
+
+
+@pytest.mark.parametrize("chunk_index", [0, 5])
+@pytest.mark.parametrize("trials", [1, CHUNK_TRIALS])
+@pytest.mark.parametrize("noise", [Noiseless(), Bsc(0.0), Bsc(0.1)], ids=montecarlo.noise_label)
+@pytest.mark.parametrize("delta", [0.02, 0.5])
+@pytest.mark.parametrize("m", [1, 12, 24])
+def test_packed_sampling_matches_the_drawn_rows(m, delta, noise, trials, chunk_index):
+    """_sample_chunk packs through the column masks what _draw_chunk draws as rows."""
+    entries = (np.random.Generator(np.random.Philox(key=m)).random((m, 48)) < 0.15)
+    entries[:, [1, 3, 4]] = 0  # elements in no test
+    matrix = TestMatrix(entries.astype(np.uint8))
+    prior = Prior(delta)
+    x, packed = montecarlo._sample_chunk(matrix, prior, noise, 7, chunk_index, trials)
+    want_x, outcomes = _draw_chunk(matrix, prior, noise, 7, chunk_index, trials)
+    assert np.array_equal(x, want_x)
+    assert packed.dtype == np.int64
+    assert np.array_equal(packed, _pack_rows(outcomes, m))
+    assert np.array_equal(montecarlo._unpack(packed, m), outcomes.astype(np.uint8))
 
 
 class TestDeterminism:

@@ -24,7 +24,6 @@ from .model import (
     MAX_TESTS,
     MAX_TRELLIS_BYTES,
     Bsc,
-    CustomNoise,
     MatrixFormatError,
     Noiseless,
     NotASyndromeError,
@@ -57,7 +56,6 @@ __all__ = [
     "MAX_TESTS",
     "MAX_TRELLIS_BYTES",
     "Bsc",
-    "CustomNoise",
     "EdgeSection",
     "MatrixFormatError",
     "Noiseless",

@@ -13,8 +13,10 @@ check failed.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -126,6 +128,8 @@ def cmd_app(args):
     matrix, label = _matrix_from_args(args)
     prior = Prior(args.delta)
     noise = _noise_from_args(args)
+    if args.trellis != "complete" and not isinstance(noise, Noiseless):
+        raise ValueError("expurgated and reduced trellises encode a noiseless outcome")
     if args.outcome is not None and args.outcome_file is not None:
         raise ValueError("give either --outcome or --outcome-file, not both")
     if args.outcome is not None:
@@ -171,6 +175,9 @@ def cmd_roc(args):
     prior = Prior(args.delta)
     noise = _noise_from_args(args)
     thresholds = _parse_thresholds(args.lambdas, prior)
+    # fail before the sweep, but leave an existing file as it is until the sweep ends
+    if args.output != "-" and not Path(args.output).parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.output)
     curve = montecarlo.sweep_roc(
         matrix,
         prior,

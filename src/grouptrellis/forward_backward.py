@@ -210,10 +210,11 @@ def _engine(trellis, prior, beta_final, first_row=0):
 def run(trellis: Trellis, prior: Prior, noise, t) -> PosteriorResult:
     """Exact posteriors for one observed outcome vector `t`.
 
-    A complete trellis (`trellis.outcome` is None) accepts any noise model; a
-    pruned one encodes `trellis.outcome`, so `t` must equal it and `noise`
-    must be Noiseless.  Raises NotASyndromeError when the outcome has zero
-    probability under the model.
+    `noise` is one of the two channels, Noiseless or Bsc.  A complete trellis
+    (`trellis.outcome` is None) accepts either; a pruned one encodes
+    `trellis.outcome`, so `t` must equal it and `noise` must be Noiseless.
+    Raises NotASyndromeError when the outcome has zero probability under the
+    model.
 
     This is the one-column case of the `posterior_table` pass.  Its lapp is
     scattered through `trellis.kept`; the elements outside it (members of

@@ -3,8 +3,9 @@
 A population of n elements is screened by m pooled tests.  Pool membership is
 a binary m-by-n matrix: entry (i, l) is 1 when element l contributes to test
 i.  With defectivity vector x, the noiseless outcome of test i is the OR of
-the x bits in its pool (the "syndrome").  Observed outcomes may additionally
-pass through a memoryless noisy channel, binary symmetric by default.
+the x bits in its pool (the "syndrome").  The observed outcome comes through
+one of two channels: `Noiseless`, where it equals the syndrome, or `Bsc`, the
+binary symmetric channel flipping each test's bit independently.
 
 Everything in this module is immutable and shared by the trellis, inference,
 oracle, and simulation layers.
@@ -13,9 +14,7 @@ oracle, and simulation layers.
 from __future__ import annotations
 
 import dataclasses
-import math
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -26,10 +25,6 @@ MAX_TESTS = 24
 #: Memory a trellis may take, charged while its states grow and before any
 #: edge array exists; a larger construction raises SizeLimitError.
 MAX_TRELLIS_BYTES = 2 << 30
-
-#: Generic (callable) likelihoods are evaluated state by state in Python, so
-#: their tables are restricted to small outcome spaces.
-MAX_CUSTOM_NOISE_TESTS = 16
 
 
 class NotASyndromeError(ValueError):
@@ -214,33 +209,3 @@ class Bsc(NoiseModel):
         k = np.arange(m + 1)
         weights = self.epsilon**k * (1.0 - self.epsilon) ** (m - k)  # one per distance
         return weights[d]
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class CustomNoise(NoiseModel):
-    """Arbitrary memoryless observation channel given as a callable Q(t, s).
-
-    `q` maps two uint8 bit vectors (observed, syndrome) to a probability.
-    Batched evaluation falls back to a Python loop, so `likelihood_table` is
-    guarded to MAX_CUSTOM_NOISE_TESTS tests.
-    """
-
-    q: Callable[[np.ndarray, np.ndarray], float]
-
-    def likelihood(self, t, s):
-        tv = as_bit_vector(t, None, "observed vector")
-        sv = as_bit_vector(s, tv.size, "syndrome vector")
-        value = float(self.q(tv, sv))
-        if value < 0.0 or not math.isfinite(value):
-            raise ValueError(f"likelihood must be finite and non-negative, got {value}")
-        return value
-
-    def likelihood_table(self, outcomes, state_indices, m):
-        if m > MAX_CUSTOM_NOISE_TESTS:
-            raise SizeLimitError(
-                f"generic likelihoods are guarded to {MAX_CUSTOM_NOISE_TESTS} tests, got {m}"
-            )
-        rows = [as_bit_vector(t, m, "observed vector") for t in np.asarray(outcomes)]
-        syndromes = [index_to_bits(s, m) for s in np.asarray(state_indices, dtype=np.int64)]
-        table = [[self.likelihood(t, s) for t in rows] for s in syndromes]
-        return np.array(table, dtype=np.float64).reshape(len(syndromes), len(rows))

@@ -125,12 +125,8 @@ class RocCurve:
 
 
 def noise_label(noise) -> str:
-    """Short stable name of a noise model for metadata lines."""
-    if isinstance(noise, Noiseless):
-        return "noiseless"
-    if isinstance(noise, Bsc):
-        return f"bsc {noise.epsilon!r}"
-    return type(noise).__name__.lower()
+    """Short stable name of a channel, Noiseless or Bsc, for metadata lines."""
+    return "noiseless" if isinstance(noise, Noiseless) else f"bsc {noise.epsilon!r}"
 
 
 def default_threshold_grid(prior: Prior) -> np.ndarray:
@@ -206,9 +202,10 @@ def sweep_roc(
 ) -> RocCurve:
     """Estimate an ROC curve over a grid of thresholds with shared trials.
 
-    All thresholds reuse the same simulated trials, so the curve is exactly
-    monotone up to ties.  Thresholds are sorted ascending; duplicates are
-    rejected to keep CSV rows unambiguous.  One threshold rule's operating
+    Outcomes are drawn through `noise`, one of the two channels, Noiseless or
+    Bsc.  All thresholds reuse the same simulated trials, so the curve is
+    exactly monotone up to ties.  Thresholds are sorted ascending; duplicates
+    are rejected to keep CSV rows unambiguous.  One threshold rule's operating
     point is `.points[0]` of a sweep over `[rule.threshold]` with
     `rule.tie_defective`.  At most `os.cpu_count()` of the `workers` threads
     start, so memory is O(min(workers, CPUs) x (CHUNK_TRIALS x n + max states

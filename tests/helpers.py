@@ -6,6 +6,21 @@ from fractions import Fraction
 
 import numpy as np
 
+from grouptrellis import Bsc
+
+
+class ScaledBsc(Bsc):
+    """A BSC whose likelihood table is SCALE times `Bsc`'s.
+
+    SCALE is a power of two, so scaling is exact in binary floats: lapp must
+    keep every bit and the log evidence moves by log(SCALE).
+    """
+
+    SCALE = 4.0
+
+    def likelihood_table(self, outcomes, state_indices, m):
+        return self.SCALE * super().likelihood_table(outcomes, state_indices, m)
+
 
 def naive_syndrome(entries, x):
     """OR-channel outcome via explicit double loop; no vector tricks."""

@@ -22,7 +22,6 @@ from grouptrellis import (
     build_reduced,
     comp_decide,
     compute_syndrome,
-    CustomNoise,
     decide,
     default_threshold_grid,
     ebch_64_57_parity_check,
@@ -34,7 +33,7 @@ from grouptrellis import (
     sweep_roc,
 )
 from grouptrellis.cli import main
-from helpers import gf2_rank
+from helpers import ScaledBsc, gf2_rank
 
 BENCHMARK_DELTA = 0.015
 TRIALS = 100_000
@@ -253,10 +252,8 @@ def test_criterion_6_consistency_identities():
         bsc0_ok = np.array_equal(res_b0.lapp, res.lapp) and res_b0.log_evidence == res.log_evidence
         # BSC with a power-of-two likelihood scale: lapp bitwise invariant
         noisy_t = (t ^ (rng.random(matrix.m) < 0.05)).astype(np.uint8)
-        base = CustomNoise(lambda tv, sv: Bsc(0.05).likelihood(tv, sv))
-        scaled = CustomNoise(lambda tv, sv: 4.0 * Bsc(0.05).likelihood(tv, sv))
-        res_n = run(complete, prior, base, noisy_t)
-        res_s = run(complete, prior, scaled, noisy_t)
+        res_n = run(complete, prior, Bsc(0.05), noisy_t)
+        res_s = run(complete, prior, ScaledBsc(0.05), noisy_t)
         scale_ok = np.array_equal(res_n.lapp, res_s.lapp)
         noisy_section_ok = np.allclose(
             res_n.section_log_evidence, res_n.log_evidence, rtol=1e-12, atol=1e-12

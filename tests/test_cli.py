@@ -105,6 +105,22 @@ class TestApp:
         bad.write_text("1 2\n1 junk\n")
         assert main(["app", "--matrix", str(bad), "--delta", "0.1", "--outcome", "1"]) == 2
 
+    @pytest.mark.parametrize("kind", ["expurgated", "reduced"])
+    def test_pruned_trellis_rejects_noise_before_building(
+        self, toy_path, monkeypatch, capsys, kind
+    ):
+        from grouptrellis import cli
+
+        def unexpected(*args):
+            raise AssertionError("a trellis was built")
+
+        monkeypatch.setattr(cli, "build_complete", unexpected)
+        monkeypatch.setattr(cli, "build_reduced", unexpected)
+        assert main(["app", "--matrix", toy_path, "--delta", "0.1", "--eps", "0.1",
+                     "--outcome", "101", "--trellis", kind]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: expurgated and reduced trellises encode a noiseless outcome\n"
+
 
 class TestRoc:
     def test_identical_invocations_are_byte_identical(self, tmp_path):
@@ -163,6 +179,34 @@ class TestRoc:
     def test_conflicting_noise_flags_rejected(self, capsys):
         assert main(["roc", "--kind", "ebch", "--delta", "0.1", "--trials", "100",
                      "--noiseless", "--eps", "0.1"]) == 2
+
+    def test_missing_output_directory_fails_before_the_sweep(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from grouptrellis import montecarlo
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(montecarlo, "sweep_roc", unexpected)
+        target = tmp_path / "no" / "out.csv"
+        assert main(["roc", "--kind", "ebch", "--delta", "0.1", "--trials", "100",
+                     "--output", str(target)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 2] No such file or directory: {str(target)!r}\n"
+
+    def test_failed_sweep_leaves_an_existing_output(self, tmp_path, monkeypatch):
+        from grouptrellis import montecarlo
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError("sweep")
+
+        monkeypatch.setattr(montecarlo, "sweep_roc", exhausted)
+        target = tmp_path / "out.csv"
+        target.write_text("earlier curve\n")
+        assert main(["roc", "--kind", "ebch", "--delta", "0.1", "--trials", "100",
+                     "--output", str(target)]) == 2
+        assert target.read_text() == "earlier curve\n"
 
 
 class TestGenmat:

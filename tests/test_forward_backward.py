@@ -11,11 +11,9 @@ import pytest
 
 from grouptrellis import (
     Bsc,
-    CustomNoise,
     Noiseless,
     NotASyndromeError,
     Prior,
-    SizeLimitError,
     TestMatrix,
     bernoulli_matrix,
     build_complete,
@@ -29,7 +27,7 @@ from grouptrellis import (
     run,
 )
 from grouptrellis.trellis import EdgeSection
-from helpers import reference_passes, walk_partial_syndromes
+from helpers import ScaledBsc, reference_passes, walk_partial_syndromes
 
 T_101 = np.array([1, 0, 1], dtype=np.uint8)
 PRIOR = Prior(0.1)
@@ -163,14 +161,13 @@ class TestConsistencyIdentities:
 
     def test_likelihood_scaling_leaves_lapp_invariant(self, toy_matrix):
         # power-of-two scale: exact in binary floats, so lapp must be bitwise equal
-        scale = 4.0
-        base = CustomNoise(lambda t, s: Bsc(0.05).likelihood(t, s))
-        scaled = CustomNoise(lambda t, s: scale * Bsc(0.05).likelihood(t, s))
         trellis = build_complete(toy_matrix)
-        a = run(trellis, PRIOR, base, T_101)
-        b = run(trellis, PRIOR, scaled, T_101)
+        a = run(trellis, PRIOR, Bsc(0.05), T_101)
+        b = run(trellis, PRIOR, ScaledBsc(0.05), T_101)
         assert np.array_equal(a.lapp, b.lapp)
-        assert b.log_evidence - a.log_evidence == pytest.approx(math.log(scale), rel=1e-12)
+        assert b.log_evidence - a.log_evidence == pytest.approx(
+            math.log(ScaledBsc.SCALE), rel=1e-12
+        )
 
     def test_forward_metric_matches_prefix_enumeration(self, toy_matrix):
         # alpha_l(s) must equal the total prior mass of length-l prefixes
@@ -569,23 +566,28 @@ class TestValidation:
         with pytest.raises(ValueError):
             run(trellis, PRIOR, Noiseless(), [1, 1, 0])
 
-    def test_custom_noise_guarded_to_small_m(self):
-        matrix = TestMatrix(np.ones((17, 1), dtype=np.uint8))
-        trellis = build_complete(matrix)
-        noise = CustomNoise(lambda t, s: Bsc(0.1).likelihood(t, s))
-        with pytest.raises(SizeLimitError):
-            run(trellis, PRIOR, noise, np.ones(17, dtype=np.uint8))
 
-    def test_custom_noise_evaluated_lazily_at_final_states(self, toy_matrix):
-        calls = []
+@dataclasses.dataclass(frozen=True, eq=False)
+class _SpyBsc(Bsc):
+    """A Bsc that records the states of every `likelihood_table` call."""
 
-        def q(t, s):
-            calls.append(tuple(s))
-            return Bsc(0.1).likelihood(t, s)
+    asked: list = dataclasses.field(default_factory=list)
 
+    def likelihood_table(self, outcomes, state_indices, m):
+        self.asked.append(state_indices)
+        return super().likelihood_table(outcomes, state_indices, m)
+
+
+class TestFinalStates:
+    def test_likelihood_asked_only_at_the_final_states(self, toy_matrix, narrowest_blocks):
         trellis = build_complete(toy_matrix)
-        run(trellis, PRIOR, CustomNoise(q), T_101)
-        assert len(calls) == trellis.states[-1].size
+        noise = _SpyBsc(0.1)
+        run(trellis, PRIOR, noise, T_101)
+        assert len(noise.asked) == 1 and noise.asked[0] is trellis.states[-1]
+        noise.asked.clear()
+        posterior_table(trellis, PRIOR, noise, np.zeros((20, trellis.m), np.uint8))
+        assert len(noise.asked) == 2  # blocks of 8 and 12 columns
+        assert all(states is trellis.states[-1] for states in noise.asked)
 
 
 class TestPosteriorTable:

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +5,6 @@ from hypothesis import strategies as st
 
 from grouptrellis import (
     Bsc,
-    CustomNoise,
     Noiseless,
     Prior,
     SizeLimitError,
@@ -174,18 +171,10 @@ class TestNoiseModels:
             (12, (1 << np.arange(13)) - 1, np.array([[0] * 12, [1] * 12, [1, 0] * 6], np.uint8)),
         ]
         for m, states, outcomes in cases:
-            for noise in (
-                Noiseless(), Bsc(0.1), CustomNoise(lambda t, s: Bsc(0.1).likelihood(t, s))
-            ):
+            for noise in (Noiseless(), Bsc(0.1)):
                 table = noise.likelihood_table(outcomes, states, m)
                 assert table.shape == (states.size, len(outcomes))
                 for j, s in enumerate(states):
                     for k, t in enumerate(outcomes):
                         want = noise.likelihood(t, index_to_bits(s, m))
                         assert table[j, k] == pytest.approx(want, rel=1e-15)
-
-    def test_custom_noise_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            CustomNoise(lambda t, s: -0.5).likelihood([1], [1])
-        with pytest.raises(ValueError):
-            CustomNoise(lambda t, s: math.inf).likelihood([1], [1])

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from grouptrellis import (
     Bsc,
-    CustomNoise,
     Noiseless,
     OperatingPoint,
     Prior,
@@ -299,9 +298,8 @@ class TestValidation:
             sweep_roc(PAIR, PRIOR, Noiseless(), [0.0], 0, seed=0)
 
     def test_custom_noise_cannot_be_sampled(self):
-        noise = CustomNoise(lambda t, s: Bsc(0.1).likelihood(t, s))
-        with pytest.raises(ValueError):
-            sweep_roc(PAIR, PRIOR, noise, [0.0], 100, seed=0)
+        with pytest.raises(ValueError, match="noiseless or BSC"):
+            sweep_roc(PAIR, PRIOR, object(), [0.0], 100, seed=0)
 
     def test_duplicate_thresholds_rejected(self):
         with pytest.raises(ValueError):

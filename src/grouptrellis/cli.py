@@ -176,8 +176,12 @@ def cmd_roc(args):
     noise = _noise_from_args(args)
     thresholds = _parse_thresholds(args.lambdas, prior)
     # fail before the sweep, but leave an existing file as it is until the sweep ends
-    if args.output != "-" and not Path(args.output).parent.is_dir():
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.output)
+    if args.output != "-":
+        target = Path(args.output)
+        if not target.parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.output)
+        if target.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.output)
     curve = montecarlo.sweep_roc(
         matrix,
         prior,

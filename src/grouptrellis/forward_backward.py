@@ -21,8 +21,10 @@ quantities fold the accumulated logs back in.
 
 The forward pass does not depend on the outcome, so it is computed once per
 (trellis, prior) and cached with the trellis (for its latest prior, so the
-cache never outgrows the trellis).  The backward pass is batched:
-`posterior_table` stacks outcome vectors as columns of the final beta
+cache never outgrows the trellis).  A label whose edges leave every left
+state has the trellis's shared ramp as its source, so the forward pass
+scatters alpha itself rather than a gathered copy.  The backward pass is
+batched: `posterior_table` stacks outcome vectors as columns of the final beta
 matrix, one fixed-width column block at a time, and the pass streams from
 the last depth to the first holding one beta at a time, forming the label
 sums U0/U1 from the same gathers.  No per-depth beta is kept and no block
@@ -77,7 +79,10 @@ def _forward(trellis, prior):
 
     The result depends only on the trellis and the prevalence, so it is
     cached per trellis for the latest `prior.delta` and dropped with the
-    trellis; its arrays are read-only because `run` hands them out.
+    trellis; its arrays are read-only because `run` hands them out.  A
+    label's source as wide as the left depth is a view of the trellis's
+    shared ramp, the identity, so `cur[src]` would only copy `cur`: the
+    label scatters `cur` itself, the same values.
     """
     # two threads missing at once both compute the same arrays; either may stay
     delta, cached = _ALPHA_CACHE.get(trellis, (None, None))
@@ -90,9 +95,11 @@ def _forward(trellis, prior):
         sec = trellis.sections[ell]
         size = trellis.states[ell + 1].size
         cur = alpha[ell]
-        nxt = np.bincount(
-            sec.zero_dst, weights=g0 * cur[sec.zero_src], minlength=size
-        ) + np.bincount(sec.one_dst, weights=g1 * cur[sec.one_src], minlength=size)
+        zero = cur if sec.zero_src.size == cur.size else cur[sec.zero_src]
+        one = cur if sec.one_src.size == cur.size else cur[sec.one_src]
+        nxt = np.bincount(sec.zero_dst, weights=g0 * zero, minlength=size) + np.bincount(
+            sec.one_dst, weights=g1 * one, minlength=size
+        )
         c = float(nxt.sum())
         alpha.append(nxt / c)
         log_scale.append(log_scale[-1] + math.log(c))

@@ -233,10 +233,7 @@ def sweep_roc(
     # a round holds one sampled chunk and one thread per worker
     workers = min(workers, os.cpu_count() or 1)
     trellis = build_complete(matrix)
-    jobs = [
-        (index, min(CHUNK_TRIALS, trials - start))
-        for index, start in enumerate(range(0, trials, CHUNK_TRIALS))
-    ]
+    chunk_count = -(-trials // CHUNK_TRIALS)
     index_type = np.min_scalar_type(2 * lam.size + 1)  # the least type _count_events can use
     keys = np.zeros(0, dtype=np.int64)  # sorted packed outcomes drawn so far
     table = np.zeros((0, matrix.n), dtype=index_type)  # their threshold index rows
@@ -245,8 +242,9 @@ def sweep_roc(
     fa_trials = 0
     md_trials = 0
 
-    def sample(job):
-        return _sample_chunk(matrix, prior, noise, seed, *job)
+    def sample(index):
+        size = min(CHUNK_TRIALS, trials - index * CHUNK_TRIALS)
+        return _sample_chunk(matrix, prior, noise, seed, index, size)
 
     def engine(rows):
         lapp = posterior_table(trellis, prior, noise, rows)
@@ -258,8 +256,9 @@ def sweep_roc(
 
     with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
         pmap = map if pool is None else pool.map
-        for start in range(0, len(jobs), workers):
-            chunks = list(pmap(sample, jobs[start : start + workers]))
+        for start in range(0, chunk_count, workers):
+            # a round's chunk indices are a range, so no list of every chunk exists
+            chunks = list(pmap(sample, range(start, min(start + workers, chunk_count))))
             # a chunk's batch is the outcomes that no earlier chunk drew, so the
             # batches, and with them the engine's lapp bits, follow chunk order
             seen, batches = keys, []

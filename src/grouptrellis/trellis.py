@@ -22,17 +22,20 @@ masks the elements it unrolls (all of them unless reduced).
 
 States are stored per depth as sorted arrays of packed syndromes; edges are
 stored positionally (indices into the adjacent state arrays), which lets the
-inference layer gather and scatter probability mass with pure numpy.  Every
-flavour is built the same way: grow the reachable states, prune them for the
-two pruned flavours, then derive all edges in one place (`_assemble`) from the
-sorted states and the column masks, since a state `s` has a 0-edge to `s` and
-a 1-edge to `s | mask` wherever that successor is a state.
+inference layer gather and scatter probability mass with pure numpy.  A
+label whose edges leave every left state needs no source array of its own:
+its sources are a prefix view of one int64 ramp `0, 1, 2, ...` that the
+whole trellis shares.  Every flavour is built the same way: grow the
+reachable states, prune them for the two pruned flavours, then derive all
+edges in one place (`_assemble`) from the sorted states and the column
+masks, since a state `s` has a 0-edge to `s` and a 1-edge to `s | mask`
+wherever that successor is a state.
 
 Construction costs O(total states) time plus tables of 2**m entries indexed
 by packed state: 1 B per entry for the bool marks (states seen while
 growing, survivors while pruning, members of the right depth while
 assembling) and 8 B per entry for the right depth's positions.  Only the
-pages where states land are touched.  While growing, the tables and 40 B per
+pages where states land are touched.  While growing, the tables and 32 B per
 state are charged against MAX_TRELLIS_BYTES, so an oversize trellis raises
 SizeLimitError before any edge array exists.
 """
@@ -118,8 +121,9 @@ class Trellis:
 
 
 #: Bytes charged per state by the build budget: the int64 state, the two int64
-#: destination arrays, the shared int64 source arange and the float64 alpha.
-_STATE_BYTES = 40
+#: destination arrays and the float64 alpha.  The shared int64 source ramp adds
+#: only 8 B per state of the widest depth.
+_STATE_BYTES = 32
 
 #: Bytes charged per entry of the 2**m tables: the int64 position table and
 #: the bool membership table that `_assemble` holds at once.
@@ -201,20 +205,26 @@ def _assemble(m, masks, states, outcome, kept):
 
     An edge exists wherever both its ends are states.  The right states'
     positions and membership are written into 2**m tables, so each edge
-    target is read in O(1).  A label whose edges leave every left state
-    (always, in a complete trellis) shares one `arange` as its source array,
-    and where such a label also keeps every state in place (the 0-label of a
-    section that adds no state; both labels of an all-zero column) that
-    `arange` is its destination array too.
+    target is read in O(1).  One int64 ramp as long as the widest depth
+    serves every section: a label whose edges leave every left state
+    (always, in a complete trellis) takes the section's prefix view of it as
+    its source array, and where such a label also keeps every state in place
+    (the 0-label of a section that adds no state; both labels of an all-zero
+    column) that same view object is its destination array too.  The ramp
+    also writes the right states' positions.  So a section keeps arrays of
+    its own only for destinations that move some state and for the sources
+    of a label that leaves some left state without an edge.
     """
     pos = np.empty(1 << m, dtype=np.int64)
     member = _zeroed_marks(m)
+    ramp = np.arange(max(s.size for s in states), dtype=np.int64)
+    ramp.setflags(write=False)  # every section views it: a write to one would reach all
     sections = []
     for ell, mask in enumerate(masks):
         left, right = states[ell], states[ell + 1]
-        pos[right] = np.arange(right.size, dtype=np.int64)
+        pos[right] = ramp[: right.size]
         member[right] = True
-        every = np.arange(left.size, dtype=np.int64)
+        every = ramp[: left.size]
         arrays = []
         for targets in (left, left | mask):
             found = member[targets]

@@ -195,6 +195,18 @@ class TestRoc:
         err = capsys.readouterr().err
         assert err == f"error: [Errno 2] No such file or directory: {str(target)!r}\n"
 
+    def test_output_directory_fails_before_the_sweep(self, tmp_path, monkeypatch, capsys):
+        from grouptrellis import montecarlo
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(montecarlo, "sweep_roc", unexpected)
+        assert main(["roc", "--kind", "ebch", "--delta", "0.1", "--trials", "100",
+                     "--output", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+
     def test_failed_sweep_leaves_an_existing_output(self, tmp_path, monkeypatch):
         from grouptrellis import montecarlo
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -312,3 +313,21 @@ class TestValidation:
     def test_bad_worker_count_rejected(self):
         with pytest.raises(ValueError):
             sweep_roc(PAIR, PRIOR, Noiseless(), [0.0], trials=100, seed=0, workers=0)
+
+    def test_huge_trial_count_lists_no_chunks_up_front(self, monkeypatch):
+        # a list of all 1.2e8 chunks of 10**12 trials would take about 10 GB
+        def first_chunk(*args):
+            raise RuntimeError("first chunk")
+
+        monkeypatch.setattr(montecarlo, "_sample_chunk", first_chunk)
+        # a first call runs numpy's lazy imports, which the trace must not count
+        with pytest.raises(RuntimeError, match="first chunk"):
+            sweep_roc(PAIR, PRIOR, Noiseless(), [0.0], trials=1, seed=0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(RuntimeError, match="first chunk"):
+                sweep_roc(PAIR, PRIOR, Noiseless(), [0.0], trials=10**12, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20

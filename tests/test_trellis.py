@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from grouptrellis import (
     MAX_TESTS,
     NotASyndromeError,
+    Prior,
     SizeLimitError,
     TestMatrix,
     bernoulli_matrix,
@@ -25,9 +26,23 @@ from grouptrellis import (
     expurgate,
 )
 from grouptrellis import trellis as trellis_module
+from grouptrellis.forward_backward import _forward
 from helpers import all_vectors, compatible_vectors, walk_partial_syndromes
 
 T_101 = np.array([1, 0, 1], dtype=np.uint8)
+
+
+def _bytes_kept(build):
+    """(result of `build()`, traced bytes still allocated after it returns)."""
+    # a first small build runs numpy's lazy imports, which the trace must not count
+    build_complete(bernoulli_matrix(6, 12, 0.3, 0))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = build()
+        return result, tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
 
 
 def _edge_set_from_vectors(entries, vectors):
@@ -136,6 +151,51 @@ class TestEdgeStructure:
                             assert np.array_equal(right[dst], left)
                             shared += 1
         assert shared > 0
+
+
+class TestSharedRamp:
+    """Every source that leaves all left states is a view of one int64 ramp."""
+
+    def test_complete_sources_share_one_ramp(self):
+        trellis = build_complete(bernoulli_matrix(12, 48, 0.15, 0))
+        ramp = trellis.sections[0].zero_src.base
+        width = max(trellis.state_counts)
+        assert np.array_equal(ramp, np.arange(width))
+        assert not ramp.flags.writeable
+        for ell, sec in enumerate(trellis.sections):
+            assert sec.zero_src is sec.one_src
+            assert sec.zero_src.size == trellis.state_counts[ell]
+            assert np.shares_memory(sec.zero_src, ramp)
+
+    def test_pruned_full_width_sources_share_one_ramp(self):
+        rng = np.random.Generator(np.random.Philox(key=59))
+        for _ in range(20):
+            matrix = TestMatrix((rng.random((5, 12)) < 0.3).astype(np.uint8))
+            t = compute_syndrome(matrix, (rng.random(12) < 0.3).astype(np.uint8))
+            for trellis in (expurgate(build_complete(matrix), t), build_reduced(matrix, t)):
+                full = [
+                    src
+                    for ell, sec in enumerate(trellis.sections)
+                    for src in (sec.zero_src, sec.one_src)
+                    if src.size == trellis.state_counts[ell]
+                ]
+                ramp = full[0].base
+                assert ramp.size == max(trellis.state_counts)
+                assert all(np.shares_memory(src, ramp) for src in full)
+
+    def test_build_keeps_states_destinations_and_one_ramp(self):
+        # one source arange per section kept about 6 MB more on this design
+        trellis, kept = _bytes_kept(lambda: build_complete(bernoulli_matrix(16, 64, 0.1, 0)))
+        states = {id(s): s.nbytes for s in trellis.states}
+        destinations = {
+            id(dst): dst.nbytes
+            for sec in trellis.sections
+            for src, dst in ((sec.zero_src, sec.zero_dst), (sec.one_src, sec.one_dst))
+            if dst is not src
+        }
+        ramp = 8 * max(trellis.state_counts)
+        slack = 256 << 10
+        assert kept <= sum(states.values()) + sum(destinations.values()) + ramp + slack
 
 
 class TestExpurgatedToy:
@@ -378,6 +438,15 @@ class TestGuards:
         finally:
             tracemalloc.stop()
         assert peak < budget
+
+    def test_state_charge_covers_the_arrays_kept(self):
+        def build_and_forward():
+            trellis = build_complete(bernoulli_matrix(16, 64, 0.1, 0))
+            _forward(trellis, Prior(0.05))  # the alpha cache lives with the trellis
+            return trellis
+
+        trellis, kept = _bytes_kept(build_and_forward)
+        assert kept <= trellis_module._STATE_BYTES * sum(trellis.state_counts)
 
     @pytest.mark.skipif(
         not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",

@@ -161,11 +161,9 @@ def cmd_app(args):
         f"# log-evidence: {result.log_evidence!r}",
         "element lapp p_clear p_defective decision",
     ]
-    for ell in range(matrix.n):
-        lines.append(
-            f"{ell} {result.lapp[ell]:.12g} {pairs[ell, 0]:.12g} "
-            f"{pairs[ell, 1]:.12g} {int(flags[ell])}"
-        )
+    # Python floats format faster than numpy scalars, to the same strings
+    rows = enumerate(zip(result.lapp.tolist(), pairs.tolist(), flags.tolist()))
+    lines += [f"{ell} {v:.12g} {p0:.12g} {p1:.12g} {flag}" for ell, (v, (p0, p1), flag) in rows]
     print("\n".join(lines))
     return EXIT_OK
 

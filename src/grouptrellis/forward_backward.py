@@ -82,7 +82,8 @@ def _forward(trellis, prior):
     trellis; its arrays are read-only because `run` hands them out.  A
     label's source as wide as the left depth is a view of the trellis's
     shared ramp, the identity, so `cur[src]` would only copy `cur`: the
-    label scatters `cur` itself, the same values.
+    label scatters `cur` itself, the same values.  An in-place 0-label
+    (`zero_dst is zero_src`) adds up to `g0 * cur`, so it skips the bincount.
     """
     # two threads missing at once both compute the same arrays; either may stay
     delta, cached = _ALPHA_CACHE.get(trellis, (None, None))
@@ -95,11 +96,14 @@ def _forward(trellis, prior):
         sec = trellis.sections[ell]
         size = trellis.states[ell + 1].size
         cur = alpha[ell]
-        zero = cur if sec.zero_src.size == cur.size else cur[sec.zero_src]
+        if sec.zero_dst is sec.zero_src:  # the 0-edges keep every state in place
+            nxt = g0 * cur
+        else:
+            zero = cur if sec.zero_src.size == cur.size else cur[sec.zero_src]
+            nxt = np.bincount(sec.zero_dst, weights=g0 * zero, minlength=size)
         one = cur if sec.one_src.size == cur.size else cur[sec.one_src]
-        nxt = np.bincount(sec.zero_dst, weights=g0 * zero, minlength=size) + np.bincount(
-            sec.one_dst, weights=g1 * one, minlength=size
-        )
+        # not +=: the bincount of an empty `zero_dst` is int64
+        nxt = nxt + np.bincount(sec.one_dst, weights=g1 * one, minlength=size)
         c = float(nxt.sum())
         alpha.append(nxt / c)
         log_scale.append(log_scale[-1] + math.log(c))
@@ -120,14 +124,14 @@ def _gather(out, b, src, dst):
         out[src] = b[dst]
 
 
-def _column_sums(b):
-    """b.sum(axis=0), bit for bit, for a C-ordered (states, K) array.
+def _column_sums(b, out=None):
+    """out = b.sum(axis=0), bit for bit, for a C-ordered (states, K) array.
 
     With K >= 2 both add the rows one after another in row order, and einsum
     does it in about half the time; with K = 1 sum is pairwise and einsum is
     not, so one column keeps sum.
     """
-    return b.sum(axis=0) if b.shape[1] == 1 else np.einsum("ij->j", b)
+    return b.sum(axis=0, out=out) if b.shape[1] == 1 else np.einsum("ij->j", b, out=out)
 
 
 def _engine(trellis, prior, beta_final, first_row=0):
@@ -148,7 +152,9 @@ def _engine(trellis, prior, beta_final, first_row=0):
     0-gather and then swaps with `home`, and `gather1` takes the 1-gather.
     These three (max states, K) arrays are allocated once per call, so a
     complete trellis allocates nothing per depth; `posterior_table` bounds K
-    by its column block.
+    by its column block.  Each depth writes its label dot products and column
+    sums into rows of preallocated tables; the edge weights, logs and log
+    scale sums are applied to the whole tables after the loop.
 
     Column sums (the evidence of beta_final and each depth's scale) go
     through `_column_sums`: with K >= 2 it adds the states in order, as
@@ -162,7 +168,8 @@ def _engine(trellis, prior, beta_final, first_row=0):
     alpha log scales) it used.
     """
     n, k = trellis.n, beta_final.shape[1]
-    d = _column_sums(beta_final)
+    scale = np.empty((n + 1, k))  # scale[l]: the column sums that beta_l was divided by
+    d = _column_sums(beta_final, scale[n])
     dead = np.flatnonzero(d == 0.0)
     if dead.size:
         raise NotASyndromeError(
@@ -172,13 +179,11 @@ def _engine(trellis, prior, beta_final, first_row=0):
         )
     g0, g1 = 1.0 - prior.delta, prior.delta  # edge weights gamma of labels 0 and 1
     alpha, a_log = _forward(trellis, prior)
-    u0 = np.empty((n, k))
-    u1 = np.empty((n, k))
-    b_log = np.empty((n + 1, k))
+    z0 = np.empty((n, k))  # z0[l] = alpha_l . (0-gather of beta_l+1); z1 likewise
+    z1 = np.empty((n, k))
     b = beta_final
     b /= d
-    b_log[n] = np.log(d)
-    log_evidence = np.log(alpha[n] @ b) + a_log[n] + b_log[n]
+    log_evidence = np.log(alpha[n] @ b) + a_log[n] + np.log(d)
     width = max(trellis.state_counts)
     home = b if b.shape[0] == width else np.empty((width, k))
     spare, gather1 = np.empty((width, k)), np.empty((width, k))
@@ -192,22 +197,22 @@ def _engine(trellis, prior, beta_final, first_row=0):
             bz = spare[: a.size]
             _gather(bz, b, sec.zero_src, sec.zero_dst)
             home, spare = spare, home
+        np.matmul(a, bz, out=z0[ell])
         if bz is b and sec.one_dst is sec.one_src:  # so do the 1-edges
-            s = a @ b
-            u0[ell] = g0 * s
-            u1[ell] = g1 * s
+            z1[ell] = z0[ell]
             np.multiply(b, g1, out=bo)
         else:
             _gather(bo, b, sec.one_src, sec.one_dst)
-            u0[ell] = g0 * (a @ bz)
-            u1[ell] = g1 * (a @ bo)
+            np.matmul(a, bo, out=z1[ell])
             bo *= g1
         bz *= g0
         bz += bo
         b = bz
-        c = _column_sums(b)
-        b /= c
-        b_log[ell] = b_log[ell + 1] + np.log(c)
+        b /= _column_sums(b, scale[ell])
+    u0 = g0 * z0
+    u1 = g1 * z1
+    # log of the contiguous table: a reversed view may take a loop that rounds differently
+    b_log = np.cumsum(np.log(scale)[::-1], axis=0)[::-1]
     with np.errstate(divide="ignore"):
         lapp = np.log(u0) - np.log(u1)
         section_log_evidence = np.log(u0 + u1) + (a_log[:n, None] + b_log[1:])

@@ -142,6 +142,12 @@ def _pack_rows(rows, m):
     return arr.astype(np.int64) @ weights
 
 
+def _sorted_unique(values):
+    """np.unique(values) for a 1-D array, without the numpy.ma import np.unique makes."""
+    values = np.sort(values)
+    return np.concatenate((values[:1], values[1:][values[1:] != values[:-1]]))
+
+
 class NoiseModel:
     """Observation channel between the noiseless syndrome and the test outcome.
 
@@ -208,4 +214,4 @@ class Bsc(NoiseModel):
         d = np.bitwise_count(states[:, None] ^ targets[None, :])
         k = np.arange(m + 1)
         weights = self.epsilon**k * (1.0 - self.epsilon) ** (m - k)  # one per distance
-        return weights[d]
+        return weights.take(d)

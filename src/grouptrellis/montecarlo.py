@@ -42,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from .forward_backward import posterior_table
-from .model import Bsc, Noiseless, Prior, TestMatrix, _pack_rows
+from .model import Bsc, Noiseless, Prior, TestMatrix, _pack_rows, _sorted_unique
 from .trellis import build_complete
 
 #: Trials per RNG chunk; fixed so estimates never depend on scheduling.
@@ -263,7 +263,7 @@ def sweep_roc(
             # batches, and with them the engine's lapp bits, follow chunk order
             seen, batches = keys, []
             for _, packed in chunks:
-                uniq = np.unique(packed)
+                uniq = _sorted_unique(packed)
                 fresh = uniq[~np.isin(uniq, seen)]
                 if fresh.size:
                     seen = np.concatenate([seen, fresh])

@@ -26,18 +26,18 @@ inference layer gather and scatter probability mass with pure numpy.  A
 label whose edges leave every left state needs no source array of its own:
 its sources are a prefix view of one int64 ramp `0, 1, 2, ...` that the
 whole trellis shares.  Every flavour is built the same way: grow the
-reachable states, prune them for the two pruned flavours, then derive all
-edges in one place (`_assemble`) from the sorted states and the column
-masks, since a state `s` has a 0-edge to `s` and a 1-edge to `s | mask`
-wherever that successor is a state.
+reachable states in one pass, which for a pruned flavour drops each state
+that can no longer reach the final one, then derive all edges in one place
+(`_assemble`) from the sorted states and the column masks, since a state `s`
+has a 0-edge to `s` and a 1-edge to `s | mask` wherever that is a state.
 
 Construction costs O(total states) time plus tables of 2**m entries indexed
 by packed state: 1 B per entry for the bool marks (states seen while
-growing, survivors while pruning, members of the right depth while
-assembling) and 8 B per entry for the right depth's positions.  Only the
-pages where states land are touched.  While growing, the tables and 32 B per
-state are charged against MAX_TRELLIS_BYTES, so an oversize trellis raises
-SizeLimitError before any edge array exists.
+growing, members of the right depth while assembling) and 8 B per entry for
+the right depth's positions.  Only the pages where states land are touched.
+While growing, the tables and 32 B per kept state are charged against
+MAX_TRELLIS_BYTES, so an oversize trellis raises SizeLimitError before any
+edge array exists.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from .model import (
     SizeLimitError,
     TestMatrix,
     _pack_rows,
+    _sorted_unique,
     as_bit_vector,
     bits_to_index,
 )
@@ -140,14 +141,19 @@ def _zeroed_marks(m):
     return np.frombuffer(mmap.mmap(-1, 1 << m), dtype=bool)
 
 
-def _grow(m, masks):
-    """Sorted partial syndromes reachable from the root at every depth.
+def _grow(m, masks, final=None, tv=None):
+    """Per depth, the sorted states on some path from the root (to `final`, if given).
 
     States only grow with depth (every 0-edge keeps its state), so a 2**m
     `seen` table picks out the new 1-successors in O(states) per depth and
-    only those are sorted and merged in.  The tables and the states grown so
-    far are charged against MAX_TRELLIS_BYTES, and SizeLimitError is raised
-    before a depth that would pass it is kept.
+    only those are sorted and merged in.  With `suf[d]` the OR of the masks
+    from depth d on inside `final`, a state `s` at depth d can still reach
+    `final` iff `s | suf[d] == final`.  A state that fails fails at every
+    later depth, as do its successors, so it is dropped for good and stays
+    in `seen`; only a mask outside `final` or a shrinking `suf` can fail one.
+    The tables and the kept states are charged against MAX_TRELLIS_BYTES,
+    and SizeLimitError is raised before a depth that would pass it is kept.
+    NotASyndromeError, naming the outcome bits `tv`, means the root fails.
     """
     charged = _TABLE_BYTES << m
     if charged > MAX_TRELLIS_BYTES:
@@ -155,17 +161,26 @@ def _grow(m, masks):
             f"{m} tests need 2**{m}-entry construction tables of {charged} bytes; "
             f"the trellis budget is {MAX_TRELLIS_BYTES} bytes"
         )
+    if final is not None:
+        inside = np.where((masks & ~final) == 0, masks, 0)
+        suf = np.append(np.bitwise_or.accumulate(inside[::-1])[::-1], 0).tolist()
+        if suf[0] != final:
+            raise NotASyndromeError(
+                f"outcome {''.join(map(str, tv))} is not a reachable noiseless syndrome"
+            )
     seen = _zeroed_marks(m)
     seen[0] = True
     left = np.zeros(1, dtype=np.int64)
     states = [left]
     charged += _STATE_BYTES
-    for depth, mask in enumerate(masks, start=1):
+    for depth, mask in enumerate(masks.tolist(), start=1):
         cand = left | mask
-        new = np.unique(cand[~seen[cand]])
+        new = _sorted_unique(cand[~seen[cand]])
         if new.size:
             seen[new] = True
             left = np.sort(np.concatenate([left, new]), kind="stable")
+        if final is not None and (mask & ~final or suf[depth] != suf[depth - 1]):
+            left = left[(left | suf[depth]) == final]
         charged += _STATE_BYTES * left.size
         if charged > MAX_TRELLIS_BYTES:
             raise SizeLimitError(
@@ -174,30 +189,6 @@ def _grow(m, masks):
             )
         states.append(left)
     return states
-
-
-def _prune(m, states, masks, final_state, tv):
-    """Keep only the states on some root-to-`final_state` path.
-
-    One backward sweep suffices: a state survives iff its 0-successor `s` or
-    its 1-successor `s | mask` survives, and every state is reachable from
-    the root because `states` came from `_grow`.  A 2**m `live` table marks
-    every survivor found so far.  It never needs clearing: a state that
-    survives at some depth survives at every earlier depth that has it,
-    through its 0-edges, and both successors are states right of the section.
-    """
-    if not (states[-1] == final_state).any():
-        raise NotASyndromeError(
-            f"outcome {''.join(map(str, tv))} is not a reachable noiseless syndrome"
-        )
-    live = _zeroed_marks(m)
-    live[final_state] = True
-    kept = [np.array([final_state], dtype=np.int64)]
-    for ell in range(len(masks) - 1, -1, -1):
-        left = states[ell]
-        kept.append(left[live[left] | live[left | masks[ell]]])
-        live[kept[-1]] = True
-    return kept[::-1]
 
 
 def _assemble(m, masks, states, outcome, kept):
@@ -268,7 +259,7 @@ def expurgate(trellis: Trellis, t) -> Trellis:
         raise ValueError("expurgation starts from a complete trellis")
     tv = as_bit_vector(t, trellis.m, "outcome vector")
     masks = trellis.column_masks.copy()
-    states = _prune(trellis.m, trellis.states, masks, bits_to_index(tv), tv)
+    states = _grow(trellis.m, masks, bits_to_index(tv), tv)
     return _assemble(trellis.m, masks, states, tv, trellis.kept)
 
 
@@ -288,8 +279,7 @@ def build_reduced(matrix: TestMatrix, t) -> Trellis:
         )
     kept = matrix.entries[tv == 0].sum(axis=0) == 0
     masks = _pack_rows(matrix.entries[np.ix_(tv == 1, kept)].T, m0)
-    states = _prune(m0, _grow(m0, masks), masks, (1 << m0) - 1, tv)
-    return _assemble(m0, masks, states, tv, kept)
+    return _assemble(m0, masks, _grow(m0, masks, (1 << m0) - 1, tv), tv, kept)
 
 
 #: Largest number of paths `enumerate_paths` lists.

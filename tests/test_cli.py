@@ -304,6 +304,28 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "element lapp p_clear p_defective decision" in proc.stdout
 
+    def test_app_and_roc_leave_numpy_ma_unimported(self):
+        # np.unique imports numpy.ma (8-16 ms) on its first call; no CLI path needs it
+        script = (
+            "import contextlib, io, sys\n"
+            "from grouptrellis import cli\n"
+            "design = ['--kind', 'hypergraph', '--vertices', '6', '--delta', '0.1']\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    for flavour in ('complete', 'expurgated', 'reduced'):\n"
+            "        argv = ['app', *design, '--outcome', '110100', '--trellis', flavour]\n"
+            "        assert cli.main(argv) == 0\n"
+            "    assert cli.main(['roc', *design, '--eps', '0.05', '--trials', '2000']) == 0\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(grouptrellis.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": pythonpath},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
     def test_out_of_memory_is_a_validation_error(self, toy_path, monkeypatch, capsys):
         from grouptrellis import cli
 

@@ -439,6 +439,30 @@ class TestGuards:
             tracemalloc.stop()
         assert peak < budget
 
+    def test_reduced_build_charges_only_kept_states(self, monkeypatch):
+        matrix = bernoulli_matrix(20, 100, 0.08, 0)
+        x = np.zeros(matrix.n, dtype=np.uint8)
+        x[[18, 31, 37, 39, 72, 75, 80, 92]] = 1
+        t = compute_syndrome(matrix, x)
+        fired = np.flatnonzero(t)
+        kept = matrix.entries[t == 0].sum(axis=0) == 0
+        sub = matrix.entries[np.ix_(fired, kept)]
+        masks = [sum(int(bit) << i for i, bit in enumerate(column)) for column in sub.T]
+        # brute force: states reachable from the root, then those that reach the final state
+        grown = [{0}]
+        for mask in masks:
+            grown.append(grown[-1] | {s | mask for s in grown[-1]})
+        live = [{(1 << fired.size) - 1}]
+        for depth in range(len(masks) - 1, -1, -1):
+            live.insert(0, {s for s in grown[depth] if {s, s | masks[depth]} & live[0]})
+        tables = trellis_module._TABLE_BYTES << fired.size
+        charge_kept = tables + trellis_module._STATE_BYTES * sum(map(len, live))
+        charge_grown = tables + trellis_module._STATE_BYTES * sum(map(len, grown))
+        assert 2 * charge_kept < charge_grown  # 336 kB against 1.2 MB
+        monkeypatch.setattr(trellis_module, "MAX_TRELLIS_BYTES", (charge_kept + charge_grown) // 2)
+        reduced = build_reduced(matrix, t)
+        assert [s.tolist() for s in reduced.states] == [sorted(s) for s in live]
+
     def test_state_charge_covers_the_arrays_kept(self):
         def build_and_forward():
             trellis = build_complete(bernoulli_matrix(16, 64, 0.1, 0))

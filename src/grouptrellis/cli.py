@@ -143,7 +143,7 @@ def cmd_app(args):
     if args.trellis == "complete":
         trellis = build_complete(matrix)
     elif args.trellis == "expurgated":
-        trellis = expurgate(build_complete(matrix), outcome)
+        trellis = expurgate(matrix, outcome)
     else:
         trellis = build_reduced(matrix, outcome)
     rule = ThresholdRule(threshold=args.threshold, tie_defective=args.tie == "defective")

@@ -145,7 +145,7 @@ def _engine(trellis, prior, beta_final, first_row=0):
     gathers beta per label in left-state order, 0 where a left state has no
     edge of that label, so every section takes the same update.  A label
     whose destination array is its source array keeps every state in place
-    (`_assemble` shares the array exactly there), so beta itself is its
+    (`trellis._build` shares the array exactly there), so beta itself is its
     gather, and where both labels do, one product serves both.  This skips
     copies, not arithmetic: a section built with separate arrays takes the
     general path to the same bits.  Beta lives in `home`; `spare` takes a

@@ -25,19 +25,18 @@ stored positionally (indices into the adjacent state arrays), which lets the
 inference layer gather and scatter probability mass with pure numpy.  A
 label whose edges leave every left state needs no source array of its own:
 its sources are a prefix view of one int64 ramp `0, 1, 2, ...` that the
-whole trellis shares.  Every flavour is built the same way: grow the
-reachable states in one pass, which for a pruned flavour drops each state
-that can no longer reach the final one, then derive all edges in one place
-(`_assemble`) from the sorted states and the column masks, since a state `s`
-has a 0-edge to `s` and a 1-edge to `s | mask` wherever that is a state.
+whole trellis shares.  Every flavour is built the same way (`_build`): one
+pass over the depths settles each depth's states, which for a pruned
+flavour drops each state that can no longer reach the final one, and
+straight away derives that section's edges, since a state `s` has a
+0-edge to `s` and a 1-edge to `s | mask` wherever that is a state.
 
-Construction costs O(total states) time plus tables of 2**m entries indexed
-by packed state: 1 B per entry for the bool marks (states seen while
-growing, members of the right depth while assembling) and 8 B per entry for
-the right depth's positions.  Only the pages where states land are touched.
-While growing, the tables and 32 B per kept state are charged against
-MAX_TRELLIS_BYTES, so an oversize trellis raises SizeLimitError before any
-edge array exists.
+Construction costs O(total states) time plus two tables of 2**m entries
+indexed by packed state, a bool `seen` table and the int64 positions of the
+newest depth's states; only the pages where states land are touched.  The
+tables, then each depth's 32 B per kept state, are charged against
+MAX_TRELLIS_BYTES, so an oversize trellis raises SizeLimitError before the
+depth past the budget keeps any array.
 """
 
 from __future__ import annotations
@@ -127,7 +126,7 @@ class Trellis:
 _STATE_BYTES = 32
 
 #: Bytes charged per entry of the 2**m tables: the int64 position table and
-#: the bool membership table that `_assemble` holds at once.
+#: the bool `seen` table that `_build` holds at once.
 _TABLE_BYTES = 9
 
 
@@ -141,19 +140,28 @@ def _zeroed_marks(m):
     return np.frombuffer(mmap.mmap(-1, 1 << m), dtype=bool)
 
 
-def _grow(m, masks, final=None, tv=None):
-    """Per depth, the sorted states on some path from the root (to `final`, if given).
+def _build(m, masks, kept, outcome=None, final=None):
+    """The trellis of `masks`, pruned to the paths that end in `final` if given.
 
-    States only grow with depth (every 0-edge keeps its state), so a 2**m
-    `seen` table picks out the new 1-successors in O(states) per depth and
-    only those are sorted and merged in.  With `suf[d]` the OR of the masks
-    from depth d on inside `final`, a state `s` at depth d can still reach
-    `final` iff `s | suf[d] == final`.  A state that fails fails at every
-    later depth, as do its successors, so it is dropped for good and stays
-    in `seen`; only a mask outside `final` or a shrinking `suf` can fail one.
-    The tables and the kept states are charged against MAX_TRELLIS_BYTES,
-    and SizeLimitError is raised before a depth that would pass it is kept.
-    NotASyndromeError, naming the outcome bits `tv`, means the root fails.
+    One pass over the depths settles each depth's states, then reads that
+    section's destinations from a 2**m position table, rewritten only where
+    the states change.  States grow only along 1-edges, so the 2**m `seen`
+    table picks out the new 1-successors and only those are sorted and
+    merged in.  With `suf[d]` the OR of the masks from depth d on inside
+    `final`, a state `s` at depth d can still reach `final` iff
+    `s | suf[d] == final`; one that fails fails for good, as do its
+    successors, so it is dropped and stays in `seen`.  So a kept state's
+    0-edge survives iff the state passes, and all its 1-edges do when the
+    mask lies inside `final`, none otherwise.
+
+    A label whose edges leave every left state takes as sources the
+    section's prefix view of one int64 ramp, as long as the widest depth;
+    where it also keeps every state in place (the 0-label of a section whose
+    states do not change; both labels of an all-zero column) that same view
+    object is its destinations too.  The tables, then each depth's 32 B per
+    kept state, are charged against MAX_TRELLIS_BYTES; SizeLimitError comes
+    before a depth past it keeps any array.  NotASyndromeError, naming the
+    outcome bits, means the root cannot reach `final`.
     """
     charged = _TABLE_BYTES << m
     if charged > MAX_TRELLIS_BYTES:
@@ -161,77 +169,70 @@ def _grow(m, masks, final=None, tv=None):
             f"{m} tests need 2**{m}-entry construction tables of {charged} bytes; "
             f"the trellis budget is {MAX_TRELLIS_BYTES} bytes"
         )
+    suf = [0] * (len(masks) + 1)
     if final is not None:
         inside = np.where((masks & ~final) == 0, masks, 0)
         suf = np.append(np.bitwise_or.accumulate(inside[::-1])[::-1], 0).tolist()
         if suf[0] != final:
             raise NotASyndromeError(
-                f"outcome {''.join(map(str, tv))} is not a reachable noiseless syndrome"
+                f"outcome {''.join(map(str, outcome))} is not a reachable noiseless syndrome"
             )
     seen = _zeroed_marks(m)
     seen[0] = True
+    pos = np.empty(1 << m, dtype=np.int64)
+    ramp = np.arange(1, dtype=np.int64)
     left = np.zeros(1, dtype=np.int64)
-    states = [left]
+    states, labels = [left], []  # None in `labels` stands for the section's ramp view
     charged += _STATE_BYTES
     for depth, mask in enumerate(masks.tolist(), start=1):
-        cand = left | mask
-        new = _sorted_unique(cand[~seen[cand]])
-        if new.size:
-            seen[new] = True
-            left = np.sort(np.concatenate([left, new]), kind="stable")
-        if final is not None and (mask & ~final or suf[depth] != suf[depth - 1]):
-            left = left[(left | suf[depth]) == final]
-        charged += _STATE_BYTES * left.size
+        zero_src, right = None, left
+        if suf[depth] != suf[depth - 1]:
+            hit = (left | suf[depth]) == final
+            if not hit.all():
+                zero_src = np.flatnonzero(hit)
+                right = left[zero_src]
+        stay, cand = right, None
+        if final is None or not mask & ~final:  # else no 1-successor reaches `final`
+            cand = left | mask
+            new = cand[~seen[cand]]
+            if new.size:
+                seen[new] = True
+                right = np.concatenate([stay, _sorted_unique(new)])
+                right.sort(kind="stable")
+        charged += _STATE_BYTES * right.size
         if charged > MAX_TRELLIS_BYTES:
             raise SizeLimitError(
                 f"trellis passes its budget of {MAX_TRELLIS_BYTES} bytes at depth {depth} "
                 f"of {len(masks)}"
             )
-        states.append(left)
-    return states
-
-
-def _assemble(m, masks, states, outcome, kept):
-    """Trellis whose edges are derived from adjacent sorted states and the masks.
-
-    An edge exists wherever both its ends are states.  The right states'
-    positions and membership are written into 2**m tables, so each edge
-    target is read in O(1).  One int64 ramp as long as the widest depth
-    serves every section: a label whose edges leave every left state
-    (always, in a complete trellis) takes the section's prefix view of it as
-    its source array, and where such a label also keeps every state in place
-    (the 0-label of a section that adds no state; both labels of an all-zero
-    column) that same view object is its destination array too.  The ramp
-    also writes the right states' positions.  So a section keeps arrays of
-    its own only for destinations that move some state and for the sources
-    of a label that leaves some left state without an edge.
-    """
-    pos = np.empty(1 << m, dtype=np.int64)
-    member = _zeroed_marks(m)
-    ramp = np.arange(max(s.size for s in states), dtype=np.int64)
+        if right is not left:
+            if right.size > ramp.size:
+                ramp = np.arange(right.size, dtype=np.int64)
+            pos[right] = ramp[: right.size]
+        zero = [None, None] if right is left else [zero_src, pos[stay]]
+        if cand is None:
+            labels.append(zero + [np.empty(0, np.int64), np.empty(0, np.int64)])
+        else:
+            labels.append(zero + [None, None if mask == 0 else pos[cand]])
+        states.append(left := right)
     ramp.setflags(write=False)  # every section views it: a write to one would reach all
     sections = []
-    for ell, mask in enumerate(masks):
-        left, right = states[ell], states[ell + 1]
-        pos[right] = ramp[: right.size]
-        member[right] = True
+    for left, arrays in zip(states, labels):
         every = ramp[: left.size]
-        arrays = []
-        for targets in (left, left | mask):
-            found = member[targets]
-            if not found.all():
-                src = np.flatnonzero(found)
-                arrays += [src, pos[targets[src]]]
-            elif left.size == right.size and (targets is left or mask == 0):
-                arrays += [every, every]  # left == right: every state keeps its place
-            else:
-                arrays += [every, pos[targets]]
-        member[right] = False
-        sections.append(EdgeSection(*arrays))
+        sections.append(EdgeSection(*(every if a is None else a for a in arrays)))
     for arr in (outcome, kept):
         if arr is not None:
             arr.setflags(write=False)
     return Trellis(m, masks, tuple(states), tuple(sections), outcome, kept)
+
+
+def _complete_masks(matrix):
+    """A copy of the matrix's column masks, guarded to MAX_TESTS tests."""
+    if matrix.m > MAX_TESTS:
+        raise SizeLimitError(
+            f"matrix has {matrix.m} tests; trellis construction is guarded to {MAX_TESTS}"
+        )
+    return matrix.column_masks.copy()
 
 
 def build_complete(matrix: TestMatrix) -> Trellis:
@@ -242,25 +243,24 @@ def build_complete(matrix: TestMatrix) -> Trellis:
     structured matrices is far fewer.  Raises SizeLimitError when the states
     would pass MAX_TRELLIS_BYTES.
     """
-    if matrix.m > MAX_TESTS:
-        raise SizeLimitError(
-            f"matrix has {matrix.m} tests; trellis construction is guarded to {MAX_TESTS}"
-        )
-    masks = matrix.column_masks.copy()
-    return _assemble(matrix.m, masks, _grow(matrix.m, masks), None, np.ones(matrix.n, bool))
+    return _build(matrix.m, _complete_masks(matrix), np.ones(matrix.n, bool))
 
 
-def expurgate(trellis: Trellis, t) -> Trellis:
-    """Restrict a complete trellis to paths whose outcome equals `t`.
+def expurgate(source: Trellis | TestMatrix, t) -> Trellis:
+    """Restrict the complete trellis to paths whose outcome equals `t`.
 
-    Raises NotASyndromeError when `t` is not a reachable noiseless outcome.
+    `source` is that trellis or its TestMatrix, from which the complete
+    trellis is never built (the MAX_TESTS guard applies).  Raises
+    NotASyndromeError when `t` is not a reachable noiseless outcome.
     """
-    if trellis.outcome is not None:
+    if isinstance(source, TestMatrix):
+        masks, kept = _complete_masks(source), np.ones(source.n, bool)
+    elif source.outcome is not None:
         raise ValueError("expurgation starts from a complete trellis")
-    tv = as_bit_vector(t, trellis.m, "outcome vector")
-    masks = trellis.column_masks.copy()
-    states = _grow(trellis.m, masks, bits_to_index(tv), tv)
-    return _assemble(trellis.m, masks, states, tv, trellis.kept)
+    else:
+        masks, kept = source.column_masks.copy(), source.kept
+    tv = as_bit_vector(t, source.m, "outcome vector")
+    return _build(source.m, masks, kept, tv, bits_to_index(tv))
 
 
 def build_reduced(matrix: TestMatrix, t) -> Trellis:
@@ -279,7 +279,7 @@ def build_reduced(matrix: TestMatrix, t) -> Trellis:
         )
     kept = matrix.entries[tv == 0].sum(axis=0) == 0
     masks = _pack_rows(matrix.entries[np.ix_(tv == 1, kept)].T, m0)
-    return _assemble(m0, masks, _grow(m0, masks, (1 << m0) - 1, tv), tv, kept)
+    return _build(m0, masks, kept, tv, (1 << m0) - 1)
 
 
 #: Largest number of paths `enumerate_paths` lists.

@@ -121,6 +121,30 @@ class TestApp:
         err = capsys.readouterr().err
         assert err == "error: expurgated and reduced trellises encode a noiseless outcome\n"
 
+    def test_expurgated_app_never_builds_the_complete_trellis(self, monkeypatch, capsys):
+        from grouptrellis import cli
+        from grouptrellis import trellis as trellis_module
+
+        argv = ["app", "--kind", "bernoulli", "--rows", "12", "--cols", "48", "--density",
+                "0.15", "--delta", "0.05", "--trellis", "expurgated"]
+        matrix = grouptrellis.bernoulli_matrix(12, 48, 0.15, 0)
+        x = np.zeros(48, dtype=np.uint8)
+        x[[5, 17, 30]] = 1
+        argv += ["--outcome", "".join(map(str, compute_syndrome(matrix, x)))]
+        expurgate, build_complete = cli.expurgate, cli.build_complete
+        with monkeypatch.context() as patch:  # the expurgated trellis of the complete one
+            patch.setattr(cli, "expurgate", lambda m, t: expurgate(build_complete(m), t))
+            assert main(argv) == 0
+        want = capsys.readouterr().out
+
+        def unexpected(*args):
+            raise AssertionError("the complete trellis was built")
+
+        monkeypatch.setattr(cli, "build_complete", unexpected)
+        monkeypatch.setattr(trellis_module, "build_complete", unexpected)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
+
 
 class TestRoc:
     def test_identical_invocations_are_byte_identical(self, tmp_path):

@@ -341,6 +341,56 @@ class TestPrunedRandom:
             assert not want[:, np.flatnonzero(~reduced.kept)].any()
 
 
+class TestPrunedLabels:
+    @given(small_matrices())
+    @settings(deadline=None)
+    def test_one_labels_are_all_or_none(self, entries):
+        # a kept state's 1-edge survives iff the element's column lies inside
+        # the final state, whatever the state
+        matrix = TestMatrix(entries)
+        complete = build_complete(matrix)
+        for t in all_vectors(matrix.m):
+            if not compatible_vectors(entries, t):
+                continue
+            for trellis in (expurgate(complete, t), build_reduced(matrix, t)):
+                final = int(trellis.states[-1][0])
+                for ell, sec in enumerate(trellis.sections):
+                    inside = trellis.column_masks[ell] & ~final == 0
+                    assert sec.one_src.size == (trellis.states[ell].size if inside else 0)
+
+
+class TestExpurgateFromMatrix:
+    def test_same_trellis_as_from_the_complete_one(self):
+        rng = np.random.Generator(np.random.Philox(key=83))
+        checked = 0
+        for _ in range(60):
+            m, n = int(rng.integers(1, 9)), int(rng.integers(1, 14))
+            matrix = TestMatrix((rng.random((m, n)) < rng.random()).astype(np.uint8))
+            complete = build_complete(matrix)
+            for _ in range(3):
+                t = (rng.random(m) < 0.5).astype(np.uint8)
+                if rng.random() < 0.7:
+                    t = compute_syndrome(matrix, (rng.random(n) < 0.3).astype(np.uint8))
+                try:
+                    want = expurgate(complete, t)
+                except NotASyndromeError:
+                    with pytest.raises(NotASyndromeError):
+                        expurgate(matrix, t)
+                    continue
+                got = expurgate(matrix, t)
+                assert got.dump() == want.dump()
+                assert [s.tolist() for s in got.states] == [s.tolist() for s in want.states]
+                assert got.outcome.tolist() == want.outcome.tolist()
+                assert got.kept.tolist() == want.kept.tolist() and not got.kept.flags.writeable
+                checked += 1
+        assert checked > 100
+
+    def test_guard_on_test_count(self):
+        matrix = TestMatrix(np.eye(MAX_TESTS + 1, dtype=np.uint8))
+        with pytest.raises(SizeLimitError, match="guarded"):
+            expurgate(matrix, np.zeros(matrix.m, dtype=np.uint8))
+
+
 def _prefix_syndromes(entries, xs):
     """Packed partial syndromes of every row of `xs`, as a (rows, n + 1) array."""
     m, n = entries.shape

@@ -33,12 +33,27 @@ class ThresholdRule:
             raise ValueError("threshold must not be NaN")
 
 
+def _threshold_index(lapp, thresholds, tie_defective):
+    """Index of the first threshold that flags each lapp value, len(thresholds) if none.
+
+    Thresholds are sorted and distinct.  A value is flagged when it lies
+    below the threshold, or on it when tie_defective holds and the threshold
+    is finite; NaN is never flagged.  So a value flagged at index k is
+    flagged at every index above k.
+    """
+    left = np.searchsorted(thresholds, lapp, "left")
+    right = np.searchsorted(thresholds, lapp, "right")
+    if not tie_defective:
+        return right
+    # left < right only for a value equal to a threshold, finite iff the value is
+    return np.where((left < right) & np.isfinite(lapp), left, right)
+
+
 def decide(lapp, rule: ThresholdRule) -> np.ndarray:
     """Apply a threshold rule to lapp values; 1 marks a flagged element."""
     values = np.asarray(lapp, dtype=float)
-    lam = rule.threshold
-    flags = values <= lam if rule.tie_defective and math.isfinite(lam) else values < lam
-    return flags.astype(np.uint8)
+    index = _threshold_index(values, np.array([rule.threshold]), rule.tie_defective)
+    return (index == 0).astype(np.uint8)
 
 
 def comp_decide(matrix: TestMatrix, t) -> np.ndarray:

@@ -98,32 +98,40 @@ def write_matrix(path, matrix: TestMatrix) -> None:
 
 
 def read_matrix(path) -> TestMatrix:
-    """Parse the text format back into a TestMatrix; strict about the layout."""
-    lines = Path(path).read_text().splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines:
-        raise MatrixFormatError("matrix file is empty")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise MatrixFormatError(f"header must be exactly 'm n', got {lines[0]!r}")
-    try:
-        m, n = int(head[0]), int(head[1])
-    except ValueError:
-        raise MatrixFormatError(f"header must hold two integers, got {lines[0]!r}") from None
-    if m < 1 or n < 1:
-        raise MatrixFormatError(f"header dimensions must be positive, got {m} {n}")
-    _check_entries(m, n)
-    if len(lines) - 1 != m:
-        raise MatrixFormatError(f"expected {m} matrix rows, found {len(lines) - 1}")
-    rows = np.zeros((m, n), dtype=np.uint8)
-    for i, line in enumerate(lines[1:]):
-        tokens = line.split()
-        if len(tokens) != n:
-            raise MatrixFormatError(f"row {i} has {len(tokens)} entries, expected {n}")
-        for j, tok in enumerate(tokens):
-            if tok == "1":
-                rows[i, j] = 1
-            elif tok != "0":
-                raise MatrixFormatError(f"row {i} has non-binary entry {tok!r}")
+    """Parse the text format back into a TestMatrix; strict about the layout.
+
+    The header is checked before any row is read, and the rows are read one
+    line at a time, so an oversize header or an extra row is rejected without
+    reading the rest of the file.  Trailing blank lines are allowed.
+    """
+    with Path(path).open() as lines:
+        header = next(lines, "")
+        head = header.split()
+        if not head and not any(line.strip() for line in lines):
+            raise MatrixFormatError("matrix file is empty")
+        header = header.rstrip("\n")
+        if len(head) != 2:
+            raise MatrixFormatError(f"header must be exactly 'm n', got {header!r}")
+        try:
+            m, n = int(head[0]), int(head[1])
+        except ValueError:
+            raise MatrixFormatError(f"header must hold two integers, got {header!r}") from None
+        if m < 1 or n < 1:
+            raise MatrixFormatError(f"header dimensions must be positive, got {m} {n}")
+        _check_entries(m, n)
+        rows = np.zeros((m, n), dtype=np.uint8)
+        for i in range(m):
+            tokens = next(lines, "").split()
+            if not tokens and not any(line.strip() for line in lines):
+                raise MatrixFormatError(f"expected {m} matrix rows, found {i}")
+            if len(tokens) != n:
+                raise MatrixFormatError(f"row {i} has {len(tokens)} entries, expected {n}")
+            for j, tok in enumerate(tokens):
+                if tok == "1":
+                    rows[i, j] = 1
+                elif tok != "0":
+                    raise MatrixFormatError(f"row {i} has non-binary entry {tok!r}")
+        for number, line in enumerate(lines, start=m + 2):
+            if line.strip():
+                raise MatrixFormatError(f"expected {m} matrix rows, found another on line {number}")
     return TestMatrix(rows)

@@ -41,6 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .decision import _threshold_index
 from .forward_backward import posterior_table
 from .model import Bsc, Noiseless, Prior, TestMatrix, _pack_rows, _sorted_unique
 from .trellis import build_complete
@@ -158,22 +159,6 @@ def _sample_chunk(matrix, prior, noise, seed, chunk_index, trials):
 def _unpack(keys, m):
     """Outcome rows (uint8, one per key) of packed outcomes, bit i from 2**i."""
     return ((keys[:, None] >> np.arange(m)) & 1).astype(np.uint8)
-
-
-def _threshold_index(lapp, thresholds, tie_defective):
-    """Index of the first threshold that flags each lapp value, len(thresholds) if none.
-
-    Thresholds are sorted and distinct.  The rule is decision.decide's: a
-    value is flagged when it lies below the threshold, or on it when
-    tie_defective holds and the threshold is finite.  So a value flagged at
-    index k is flagged at every index above k.
-    """
-    left = np.searchsorted(thresholds, lapp, "left")
-    right = np.searchsorted(thresholds, lapp, "right")
-    if not tie_defective:
-        return right
-    # left < right only for a value equal to a threshold, finite iff the value is
-    return np.where((left < right) & np.isfinite(lapp), left, right)
 
 
 def _count_events(index, x, size):

@@ -31,10 +31,10 @@ flavour drops each state that can no longer reach the final one, and
 straight away derives that section's edges, since a state `s` has a
 0-edge to `s` and a 1-edge to `s | mask` wherever that is a state.
 
-Construction costs O(total states) time plus two tables of 2**m entries
-indexed by packed state, a bool `seen` table and the int64 positions of the
-newest depth's states; only the pages where states land are touched.  The
-tables, then each depth's 32 B per kept state, are charged against
+Construction costs O(total states) time plus one table of 2**m entries
+indexed by packed state, the int64 positions of the newest depth's states;
+it is never initialised, so only the pages where states land are touched.
+The table, then each depth's 32 B per kept state, are charged against
 MAX_TRELLIS_BYTES, so an oversize trellis raises SizeLimitError before the
 depth past the budget keeps any array.
 """
@@ -42,7 +42,6 @@ depth past the budget keeps any array.
 from __future__ import annotations
 
 import dataclasses
-import mmap
 
 import numpy as np
 
@@ -125,19 +124,8 @@ class Trellis:
 #: only 8 B per state of the widest depth.
 _STATE_BYTES = 32
 
-#: Bytes charged per entry of the 2**m tables: the int64 position table and
-#: the bool `seen` table that `_build` holds at once.
-_TABLE_BYTES = 9
-
-
-def _zeroed_marks(m):
-    """An all-False 2**m bool table on fresh anonymous pages.
-
-    The kernel zeroes each page as it is first touched, so a table costs only
-    the pages where states land.  `np.zeros` may instead take it from heap
-    memory an earlier build freed and zero-fill all of it.
-    """
-    return np.frombuffer(mmap.mmap(-1, 1 << m), dtype=bool)
+#: Bytes charged per entry of the 2**m int64 position table.
+_TABLE_BYTES = 8
 
 
 def _build(m, masks, kept, outcome=None, final=None):
@@ -145,20 +133,23 @@ def _build(m, masks, kept, outcome=None, final=None):
 
     One pass over the depths settles each depth's states, then reads that
     section's destinations from a 2**m position table, rewritten only where
-    the states change.  States grow only along 1-edges, so the 2**m `seen`
-    table picks out the new 1-successors and only those are sorted and
-    merged in.  With `suf[d]` the OR of the masks from depth d on inside
-    `final`, a state `s` at depth d can still reach `final` iff
+    the states change.  With `suf[d]` the OR of the masks from depth d on
+    inside `final`, a state `s` at depth d can still reach `final` iff
     `s | suf[d] == final`; one that fails fails for good, as do its
-    successors, so it is dropped and stays in `seen`.  So a kept state's
-    0-edge survives iff the state passes, and all its 1-edges do when the
-    mask lies inside `final`, none otherwise.
+    successors, so it is dropped.  So a kept state's 0-edge survives iff the
+    state passes, and all its 1-edges do when the mask lies inside `final`,
+    none otherwise.  Such a 1-successor passes too, so it is new iff it is
+    not a left state, and only the new ones are sorted and merged in.  The
+    table is never initialised: it holds the index in `left` of every left
+    state once the states have changed, and anything elsewhere, so reading
+    `left` at the clipped index it gives a candidate, then comparing,
+    decides membership (the root's one state is read at any index).
 
     A label whose edges leave every left state takes as sources the
     section's prefix view of one int64 ramp, as long as the widest depth;
     where it also keeps every state in place (the 0-label of a section whose
     states do not change; both labels of an all-zero column) that same view
-    object is its destinations too.  The tables, then each depth's 32 B per
+    object is its destinations too.  The table, then each depth's 32 B per
     kept state, are charged against MAX_TRELLIS_BYTES; SizeLimitError comes
     before a depth past it keeps any array.  NotASyndromeError, naming the
     outcome bits, means the root cannot reach `final`.
@@ -177,8 +168,6 @@ def _build(m, masks, kept, outcome=None, final=None):
             raise NotASyndromeError(
                 f"outcome {''.join(map(str, outcome))} is not a reachable noiseless syndrome"
             )
-    seen = _zeroed_marks(m)
-    seen[0] = True
     pos = np.empty(1 << m, dtype=np.int64)
     ramp = np.arange(1, dtype=np.int64)
     left = np.zeros(1, dtype=np.int64)
@@ -194,9 +183,8 @@ def _build(m, masks, kept, outcome=None, final=None):
         stay, cand = right, None
         if final is None or not mask & ~final:  # else no 1-successor reaches `final`
             cand = left | mask
-            new = cand[~seen[cand]]
+            new = cand[left.take(pos[cand], mode="clip") != cand]
             if new.size:
-                seen[new] = True
                 right = np.concatenate([stay, _sorted_unique(new)])
                 right.sort(kind="stable")
         charged += _STATE_BYTES * right.size

@@ -37,6 +37,19 @@ class TestDecide:
     def test_plus_infinity_spares_only_certain_clears(self):
         assert decide(LAPP, ThresholdRule(math.inf)).tolist() == [1, 1, 1, 1, 0]
 
+    @pytest.mark.parametrize("threshold", [0.0, -0.0])
+    @pytest.mark.parametrize("tie, want", [(True, [0, 1, 1, 1, 0]), (False, [0, 0, 0, 1, 0])])
+    def test_nan_and_signed_zero_lapp(self, threshold, tie, want):
+        # -0.0 equals 0.0, so both zeros tie with either zero threshold; NaN
+        # compares false with everything and is never flagged
+        lapp = np.array([math.nan, -0.0, 0.0, -5e-324, 5e-324])
+        assert decide(lapp, ThresholdRule(threshold, tie)).tolist() == want
+
+    @pytest.mark.parametrize("threshold", [-math.inf, math.inf])
+    @pytest.mark.parametrize("tie", [True, False])
+    def test_nan_lapp_is_never_flagged(self, threshold, tie):
+        assert decide(np.array([math.nan]), ThresholdRule(threshold, tie)).tolist() == [0]
+
     def test_nan_threshold_rejected(self):
         with pytest.raises(ValueError):
             ThresholdRule(math.nan)

@@ -190,3 +190,24 @@ class TestTextFormat:
         path.write_text("1 2\n1 0\ntrailing junk\n")
         with pytest.raises(MatrixFormatError):
             read_matrix(path)
+
+    def test_extra_rows_are_rejected_without_reading_them(self, tmp_path):
+        path = tmp_path / "extra.txt"
+        path.write_text("1 2\n1 0\n" + "0 1\n" * 250_000)  # 1 MB of extra rows
+        tracemalloc.start()
+        try:
+            with pytest.raises(MatrixFormatError, match="expected 1 matrix rows"):
+                read_matrix(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10  # reading the whole file first held more than 1 MB
+
+    @pytest.mark.parametrize(
+        "text, rows",
+        [("2 2\n1 0\n0 1\n\n \n", [[1, 0], [0, 1]]), ("1 1\n1\n\n\n", [[1]])],
+    )
+    def test_trailing_blank_lines_allowed(self, text, rows, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        assert read_matrix(path).entries.tolist() == rows

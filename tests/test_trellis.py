@@ -456,6 +456,55 @@ class TestConstructionRandom:
             _assert_construction(reduced, _prefix_syndromes(sub, xs[compatible][:, kept]))
 
 
+def _snapshot(trellis):
+    """Everything a build returns: states, edge arrays with dtypes, `is` pattern, dump."""
+    arrays = [(a.dtype.str, a.tolist()) for a in trellis.states]
+    identity = []
+    for sec in trellis.sections:
+        edges = (sec.zero_src, sec.zero_dst, sec.one_src, sec.one_dst)
+        arrays += [(a.dtype.str, a.tolist()) for a in edges]
+        identity.append([a is b for a in edges for b in edges])
+    return arrays, identity, trellis.dump()
+
+
+def _shrinks_then_grows(counts):
+    steps = np.diff(counts)
+    down = np.flatnonzero(steps < 0)
+    return down.size > 0 and bool((steps[down[0]:] > 0).any())
+
+
+class TestUninitialisedTable:
+    """The 2**m position table is never initialised: whatever it holds, builds match."""
+
+    @pytest.mark.parametrize("fill", [0, 1, -1, 1 << 62, 5])
+    def test_table_contents_do_not_reach_the_trellis(self, fill, monkeypatch):
+        rng = np.random.Generator(np.random.Philox(key=97))
+        builds = []
+        for _ in range(40):
+            m, n = int(rng.integers(1, 9)), int(rng.integers(1, 16))
+            matrix = TestMatrix((rng.random((m, n)) < rng.random()).astype(np.uint8))
+            t = compute_syndrome(matrix, (rng.random(n) < 0.3).astype(np.uint8))
+            builds += [
+                lambda matrix=matrix: build_complete(matrix),
+                lambda matrix=matrix, t=t: expurgate(matrix, t),
+                lambda matrix=matrix, t=t: build_reduced(matrix, t),
+            ]
+        plain = [build() for build in builds]
+        # some pruned widths shrink and then grow again, so the table holds
+        # positions of dropped states when later candidates are looked up
+        assert any(_shrinks_then_grows(t.state_counts) for t in plain if t.outcome is not None)
+        empty = np.empty
+
+        def filled(shape, dtype=float, *args, **kwargs):
+            if np.dtype(dtype) != np.int64:
+                return empty(shape, dtype, *args, **kwargs)
+            return np.full(shape, fill, dtype)
+
+        monkeypatch.setattr(np, "empty", filled)
+        for build, want in zip(builds, plain):
+            assert _snapshot(build()) == _snapshot(want)
+
+
 class TestGuards:
     def test_complete_guard_on_test_count(self):
         with pytest.raises(SizeLimitError, match="guarded"):
@@ -471,10 +520,10 @@ class TestGuards:
             build_reduced(matrix, t)
 
     def test_construction_tables_are_checked_up_front(self, monkeypatch):
-        # 17 tests need 9 B x 2**17 of tables, more than a 1 MiB budget
+        # 18 tests need 8 B x 2**18 of table, more than a 1 MiB budget
         monkeypatch.setattr(trellis_module, "MAX_TRELLIS_BYTES", 1 << 20)
         with pytest.raises(SizeLimitError, match="construction tables"):
-            build_complete(TestMatrix(np.eye(17, dtype=np.uint8)))
+            build_complete(TestMatrix(np.eye(18, dtype=np.uint8)))
 
     def test_budget_is_checked_before_edges_exist(self, monkeypatch):
         budget = 4 << 20
@@ -527,10 +576,11 @@ class TestGuards:
         reason="ru_maxrss is in KiB and the heap reuse is glibc's on Linux only",
     )
     def test_repeated_builds_keep_peak_rss_flat(self):
-        # each 2**24-entry bool table must come zeroed from fresh pages; taken
-        # from heap memory an earlier build freed (glibc hands freed blocks of
-        # this size back once its mmap threshold has risen past them), it is
-        # zero-filled in full and peak RSS grows by about 10 MB over four builds
+        # glibc hands a freed block of the 2**24-entry position table's size
+        # back to the next build once its mmap threshold has risen past it; a
+        # table zero-filled in full there would raise peak RSS build by build,
+        # but np.empty never fills it, so only the pages where states land
+        # are touched
         script = (
             "import resource\n"
             "from grouptrellis import bernoulli_matrix, build_complete\n"

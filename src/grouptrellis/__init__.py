@@ -41,14 +41,7 @@ from .montecarlo import (
     sweep_roc,
 )
 from .oracle import OracleResult, enumerate_posteriors
-from .trellis import (
-    EdgeSection,
-    Trellis,
-    build_complete,
-    build_reduced,
-    enumerate_paths,
-    expurgate,
-)
+from .trellis import Trellis, build_complete, build_reduced, enumerate_paths, expurgate
 
 __version__ = "0.1.0"
 
@@ -56,7 +49,6 @@ __all__ = [
     "MAX_TESTS",
     "MAX_TRELLIS_BYTES",
     "Bsc",
-    "EdgeSection",
     "MatrixFormatError",
     "Noiseless",
     "NotASyndromeError",

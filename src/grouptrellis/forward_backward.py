@@ -21,9 +21,10 @@ quantities fold the accumulated logs back in.
 
 The forward pass does not depend on the outcome, so it is computed once per
 (trellis, prior) and cached with the trellis (for its latest prior, so the
-cache never outgrows the trellis).  A label whose edges leave every left
-state has the trellis's shared ramp as its source, so the forward pass
-scatters alpha itself rather than a gathered copy.  The backward pass is
+cache never outgrows the trellis); it is internal, and no result carries
+it.  A label whose edges leave every left state has the trellis's shared
+ramp as its source, so the forward pass scatters alpha itself rather than a
+gathered copy.  The backward pass is
 batched: `posterior_table` stacks outcome vectors as columns of the final beta
 matrix, one fixed-width column block at a time, and the pass streams from
 the last depth to the first holding one beta at a time, forming the label
@@ -56,21 +57,16 @@ _BLOCK_BYTES = 1 << 20
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class PosteriorResult:
-    """Per-element posterior log-ratios, the evidence and the forward metrics.
+    """Per-element posterior log-ratios and the evidence.
 
     lapp[l] = log Pr{X_l = 0 | T = t} - log Pr{X_l = 1 | T = t}; +inf marks an
     element certainly non-defective, -inf certainly defective.  log_evidence
-    is log Pr{T = t}.  True forward metrics are alpha[l] *
-    exp(alpha_log_scale[l]); the scaled alphas sum to one at every depth and
-    are shared by every result on the same trellis and prior, so they are
-    read-only.  section_log_evidence[l] is log(U0_l + U1_l) of the l-th
-    section; it is the same at every section up to rounding.
+    is log Pr{T = t}.  section_log_evidence[l] is log(U0_l + U1_l) of the
+    l-th section; it is the same at every section up to rounding.
     """
 
     lapp: np.ndarray
     log_evidence: float
-    alpha: tuple
-    alpha_log_scale: np.ndarray
     section_log_evidence: np.ndarray
 
 
@@ -79,7 +75,8 @@ def _forward(trellis, prior):
 
     The result depends only on the trellis and the prevalence, so it is
     cached per trellis for the latest `prior.delta` and dropped with the
-    trellis; its arrays are read-only because `run` hands them out.  A
+    trellis; its arrays are read-only because every call on the trellis
+    shares them.  True forward metrics are alpha[l] * exp(log_scale[l]).  A
     label's source as wide as the left depth is a view of the trellis's
     shared ramp, the identity, so `cur[src]` would only copy `cur`: the
     label scatters `cur` itself, the same values.  An in-place 0-label
@@ -164,8 +161,7 @@ def _engine(trellis, prior, beta_final, first_row=0):
     Raises NotASyndromeError, before any other work, when a column of
     beta_final is all zero; its message numbers the columns from
     `first_row`, the caller's row of column 0.  Returns lapp (n, K), log
-    evidence (K,), section log evidence (n, K) and the forward pass (alpha,
-    alpha log scales) it used.
+    evidence (K,) and section log evidence (n, K).
     """
     n, k = trellis.n, beta_final.shape[1]
     scale = np.empty((n + 1, k))  # scale[l]: the column sums that beta_l was divided by
@@ -216,7 +212,7 @@ def _engine(trellis, prior, beta_final, first_row=0):
     with np.errstate(divide="ignore"):
         lapp = np.log(u0) - np.log(u1)
         section_log_evidence = np.log(u0 + u1) + (a_log[:n, None] + b_log[1:])
-    return lapp, log_evidence, section_log_evidence, (alpha, a_log)
+    return lapp, log_evidence, section_log_evidence
 
 
 def run(trellis: Trellis, prior: Prior, noise, t) -> PosteriorResult:
@@ -244,15 +240,13 @@ def run(trellis: Trellis, prior: Prior, noise, t) -> PosteriorResult:
         if not np.array_equal(tv, own):
             raise ValueError("outcome differs from the one this trellis was pruned for")
         beta_final = np.ones((1, 1))
-    lapp, log_ev, section_log_ev, (alpha, a_log) = _engine(trellis, prior, beta_final)
+    lapp, log_ev, section_log_ev = _engine(trellis, prior, beta_final)
     full = np.full(trellis.kept.size, np.inf)
     full[trellis.kept] = lapp[:, 0]
     forced = int((~trellis.kept).sum())
     return PosteriorResult(
         lapp=full,
         log_evidence=float(log_ev[0]) + forced * math.log(1.0 - prior.delta),
-        alpha=alpha,
-        alpha_log_scale=a_log,
         section_log_evidence=section_log_ev[:, 0],
     )
 

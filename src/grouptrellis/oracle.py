@@ -11,7 +11,7 @@ import dataclasses
 
 import numpy as np
 
-from .model import Prior, SizeLimitError, TestMatrix, as_bit_vector
+from .model import Prior, SizeLimitError, TestMatrix, _pack_rows, as_bit_vector, index_to_bits
 
 #: Enumeration visits 2**n vectors, so populations are guarded to this size.
 MAX_ELEMENTS = 24
@@ -41,11 +41,14 @@ def enumerate_posteriors(matrix: TestMatrix, t, prior: Prior, noise) -> OracleRe
     Vectors are enumerated in chunks as the binary expansions of 0..2**n - 1;
     for each, the noiseless syndrome is formed and the noise model scores the
     observed outcome.  Masses with the element fixed to 0 or 1 are accumulated
-    separately so the split is exact even when one side dominates.
+    separately so the split is exact even when one side dominates.  Syndromes
+    are packed into int64 keys, so more than 63 tests raise SizeLimitError.
     """
     n = matrix.n
     if n > MAX_ELEMENTS:
         raise SizeLimitError(f"oracle enumeration is guarded to {MAX_ELEMENTS} elements, got {n}")
+    if matrix.m > 63:  # before the first chunk's (chunk, m) syndrome product
+        raise SizeLimitError(f"oracle enumeration packs syndromes into int64, got {matrix.m} tests")
     tv = as_bit_vector(t, matrix.m, "outcome vector")
     delta = prior.delta
     cols = np.arange(n, dtype=np.int64)
@@ -58,13 +61,11 @@ def enumerate_posteriors(matrix: TestMatrix, t, prior: Prior, noise) -> OracleRe
         codes = np.arange(lo, hi, dtype=np.int64)
         x = ((codes[:, None] >> cols[None, :]) & 1).astype(np.uint8)
         syndromes = (x.astype(np.int64) @ matrix.entries.T.astype(np.int64)) > 0
-        packed = syndromes.astype(np.int64) @ (np.int64(1) << np.arange(matrix.m, dtype=np.int64))
-        uniq, inverse = np.unique(packed, return_inverse=True)
+        uniq, inverse = np.unique(_pack_rows(syndromes, matrix.m), return_inverse=True)
         q_uniq = np.empty(uniq.size)
         for j, u in enumerate(uniq):
             if u not in q_cache:
-                bits = ((int(u) >> np.arange(matrix.m, dtype=np.int64)) & 1).astype(np.uint8)
-                q_cache[u] = noise.likelihood(tv, bits)
+                q_cache[u] = noise.likelihood(tv, index_to_bits(u, matrix.m))
             q_uniq[j] = q_cache[u]
         weight = x.sum(axis=1)
         mass = q_uniq[inverse] * delta**weight * (1.0 - delta) ** (n - weight)

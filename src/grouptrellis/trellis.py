@@ -64,6 +64,8 @@ class EdgeSection:
 
     zero_src[k] -> zero_dst[k] is the k-th 0-labeled edge, as indices into the
     state arrays left and right of the section; likewise for the 1-labels.
+    Internal: the layout the engine reads, not one of the package's public
+    names, and an engine that prunes per outcome would replace it.
     """
 
     zero_src: np.ndarray

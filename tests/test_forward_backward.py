@@ -144,9 +144,9 @@ class TestOracleAgreement:
 
 class TestConsistencyIdentities:
     def test_alpha_is_normalized_every_depth(self, toy_matrix):
-        result = run(build_complete(toy_matrix), PRIOR, Bsc(0.05), T_101)
-        for alpha in result.alpha:
-            assert float(alpha.sum()) == pytest.approx(1.0, rel=1e-14)
+        alpha, _ = forward_backward._forward(build_complete(toy_matrix), PRIOR)
+        for scaled in alpha:
+            assert float(scaled.sum()) == pytest.approx(1.0, rel=1e-14)
 
     def test_section_evidence_is_constant(self, toy_matrix):
         result = run(build_complete(toy_matrix), PRIOR, Bsc(0.05), T_101)
@@ -172,19 +172,21 @@ class TestConsistencyIdentities:
     def test_forward_metric_matches_prefix_enumeration(self, toy_matrix):
         # alpha_l(s) must equal the total prior mass of length-l prefixes
         # reaching packed state s; checked by brute force at depth 3
-        result = run(build_complete(toy_matrix), PRIOR, Noiseless(), T_101)
         trellis = build_complete(toy_matrix)
-        _assert_alpha_is_prefix_mass(result, trellis, toy_matrix, PRIOR, depth=3)
+        forward = forward_backward._forward(trellis, PRIOR)
+        _assert_alpha_is_prefix_mass(forward, trellis, toy_matrix, PRIOR, depth=3)
 
 
-def _assert_alpha_is_prefix_mass(result, trellis, matrix, prior, depth):
+def _assert_alpha_is_prefix_mass(forward, trellis, matrix, prior, depth):
+    """`forward` is the (alpha, log scales) pair `_forward` returns."""
     want = {}
     for bits in range(1 << depth):
         prefix = [(bits >> k) & 1 for k in range(depth)]
         state = walk_partial_syndromes(matrix.entries, prefix)[depth]
         mass = prior.delta ** sum(prefix) * (1 - prior.delta) ** (depth - sum(prefix))
         want[state] = want.get(state, 0.0) + mass
-    scaled = result.alpha[depth] * math.exp(result.alpha_log_scale[depth])
+    alpha, a_log = forward
+    scaled = alpha[depth] * math.exp(a_log[depth])
     for pos, state in enumerate(trellis.states[depth]):
         assert scaled[pos] == pytest.approx(want[int(state)], rel=1e-12)
 
@@ -193,34 +195,42 @@ class TestAlphaCache:
     def test_cached_alpha_is_read_only_and_reused(self, toy_matrix):
         trellis = build_complete(toy_matrix)
         first = run(trellis, PRIOR, Bsc(0.05), T_101)
+        alpha, a_log = forward_backward._forward(trellis, PRIOR)
         with pytest.raises(ValueError):
-            first.alpha[2][0] = 0.5
+            alpha[2][0] = 0.5
         with pytest.raises(ValueError):
-            first.alpha_log_scale[0] = 1.0
+            a_log[0] = 1.0
         second = run(trellis, PRIOR, Bsc(0.05), T_101)
-        assert second.alpha is first.alpha
+        assert forward_backward._ALPHA_CACHE[trellis][1][0] is alpha
+        assert forward_backward._forward(trellis, PRIOR)[0] is alpha
         assert np.array_equal(second.lapp, first.lapp)
         assert second.log_evidence == first.log_evidence
 
     def test_two_priors_on_one_trellis(self, toy_matrix):
         trellis = build_complete(toy_matrix)
+        # each `_forward` call right after a run reads the pass that run cached
         low = run(trellis, Prior(0.1), Noiseless(), T_101)
+        low_forward = forward_backward._forward(trellis, Prior(0.1))
         high = run(trellis, Prior(0.3), Noiseless(), T_101)
-        assert not np.array_equal(low.alpha[3], high.alpha[3])
-        for prior, result in ((Prior(0.1), low), (Prior(0.3), high)):
+        high_forward = forward_backward._forward(trellis, Prior(0.3))
+        assert not np.array_equal(low_forward[0][3], high_forward[0][3])
+        cases = ((Prior(0.1), low, low_forward), (Prior(0.3), high, high_forward))
+        for prior, result, forward in cases:
             for depth in range(trellis.n + 1):
-                _assert_alpha_is_prefix_mass(result, trellis, toy_matrix, prior, depth)
+                _assert_alpha_is_prefix_mass(forward, trellis, toy_matrix, prior, depth)
             fresh = run(build_complete(toy_matrix), prior, Noiseless(), T_101)
             assert np.array_equal(result.lapp, fresh.lapp)
         again = run(trellis, Prior(0.1), Noiseless(), T_101)
-        assert np.array_equal(again.alpha[3], low.alpha[3])
+        again_alpha = forward_backward._forward(trellis, Prior(0.1))[0]
+        assert np.array_equal(again_alpha[3], low_forward[0][3])
         assert np.array_equal(again.lapp, low.lapp)
 
     def test_dropped_trellis_leaves_the_cache(self, toy_matrix):
         gc.collect()
         before = len(forward_backward._ALPHA_CACHE)
         trellis = build_complete(toy_matrix)
-        alpha = weakref.ref(run(trellis, PRIOR, Noiseless(), T_101).alpha[1])
+        run(trellis, PRIOR, Noiseless(), T_101)
+        alpha = weakref.ref(forward_backward._forward(trellis, PRIOR)[0][1])
         assert trellis in forward_backward._ALPHA_CACHE
         assert len(forward_backward._ALPHA_CACHE) == before + 1
         del trellis
@@ -354,8 +364,9 @@ class TestBitwiseReference:
         assert result.lapp[trellis.kept].tobytes() == lapp[:, 0].tobytes()
         assert result.log_evidence == float(log_ev[0]) + forced * math.log(1.0 - prior.delta)
         assert result.section_log_evidence.tobytes() == section[:, 0].tobytes()
-        assert result.alpha_log_scale.tobytes() == a_log.tobytes()
-        assert all(x.tobytes() == y.tobytes() for x, y in zip(result.alpha, alpha, strict=True))
+        got_alpha, got_log = forward_backward._forward(trellis, prior)
+        assert got_log.tobytes() == a_log.tobytes()
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(got_alpha, alpha, strict=True))
 
     def test_random_designs_with_zero_columns(self):
         rng = np.random.Generator(np.random.Philox(key=41))
@@ -419,13 +430,16 @@ class TestBitwiseReference:
             cases += [(expurgate(complete, t), Noiseless(), t)]
             cases += [(build_reduced(matrix, t), Noiseless(), t)]
             for trellis, noise, outcome in cases:
+                copied = _copied_sections(trellis)
                 want = run(trellis, prior, noise, outcome)
-                got = run(_copied_sections(trellis), prior, noise, outcome)
+                got = run(copied, prior, noise, outcome)
                 assert got.lapp.tobytes() == want.lapp.tobytes()
                 assert got.log_evidence == want.log_evidence
                 assert got.section_log_evidence.tobytes() == want.section_log_evidence.tobytes()
-                assert got.alpha_log_scale.tobytes() == want.alpha_log_scale.tobytes()
-                pairs = zip(got.alpha, want.alpha, strict=True)
+                got_alpha, got_log = forward_backward._forward(copied, prior)
+                want_alpha, want_log = forward_backward._forward(trellis, prior)
+                assert got_log.tobytes() == want_log.tobytes()
+                pairs = zip(got_alpha, want_alpha, strict=True)
                 assert all(x.tobytes() == y.tobytes() for x, y in pairs)
 
 
@@ -655,5 +669,5 @@ class TestZeroForced:
     def test_result_fields(self, toy_matrix):
         result = run(build_complete(toy_matrix), PRIOR, Noiseless(), T_101)
         assert [f.name for f in dataclasses.fields(result)] == [
-            "lapp", "log_evidence", "alpha", "alpha_log_scale", "section_log_evidence",
+            "lapp", "log_evidence", "section_log_evidence",
         ]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +97,40 @@ class TestGuards:
         matrix = TestMatrix(np.ones((1, 25), dtype=np.uint8))
         with pytest.raises(SizeLimitError):
             enumerate_posteriors(matrix, [1], PRIOR, Noiseless())
+
+    @pytest.mark.parametrize("noise", [Noiseless(), Bsc(0.1)], ids=["noiseless", "bsc"])
+    def test_test_count_guard(self, noise):
+        # element 0 is only in the last test, element 1 only in test 0; an
+        # int64 key wraps bit 64 onto bit 0, so at 65 tests the syndromes of
+        # (1, 0) and (0, 1) would share one key
+        matrix = TestMatrix(_edge_tests(63))
+        t = compute_syndrome(matrix, [1, 0])
+        want0, want1 = naive_posterior_masses(matrix.entries, t, PRIOR.delta, noise.likelihood)
+        result = enumerate_posteriors(matrix, t, PRIOR, noise)
+        assert np.allclose(result.mass0, want0, rtol=1e-12, atol=0)
+        assert np.allclose(result.mass1, want1, rtol=1e-12, atol=0)
+        matrix = TestMatrix(_edge_tests(65))
+        with pytest.raises(SizeLimitError):
+            enumerate_posteriors(matrix, compute_syndrome(matrix, [1, 0]), PRIOR, noise)
+
+    def test_test_count_guard_comes_before_enumeration(self):
+        # a first chunk of 2**16 vectors would hold a 105 MB syndrome product
+        matrix = TestMatrix(np.eye(200, 17, dtype=np.uint8))
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError):
+                enumerate_posteriors(matrix, np.zeros(200, np.uint8), PRIOR, Noiseless())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+def _edge_tests(m):
+    """An m x 2 design: element 0 only in test m - 1, element 1 only in test 0."""
+    entries = np.zeros((m, 2), dtype=np.uint8)
+    entries[m - 1, 0] = entries[0, 1] = 1
+    return entries
 
 
 DESIGNS = {

@@ -87,23 +87,25 @@ def _forward(trellis, prior):
     if delta == prior.delta:
         return cached
     g0, g1 = 1.0 - prior.delta, prior.delta  # edge weights gamma of labels 0 and 1
-    alpha = [np.ones(1)]
+    cur = np.ones(1)
+    alpha = [cur]
     log_scale = [0.0]
-    for ell in range(trellis.n):
-        sec = trellis.sections[ell]
-        size = trellis.states[ell + 1].size
-        cur = alpha[ell]
+    for sec, right in zip(trellis.sections, trellis.states[1:]):
+        size = right.size
         if sec.zero_dst is sec.zero_src:  # the 0-edges keep every state in place
             nxt = g0 * cur
         else:
             zero = cur if sec.zero_src.size == cur.size else cur[sec.zero_src]
             nxt = np.bincount(sec.zero_dst, weights=g0 * zero, minlength=size)
         one = cur if sec.one_src.size == cur.size else cur[sec.one_src]
-        # not +=: the bincount of an empty `zero_dst` is int64
+        # not +=: the bincount of an empty `zero_dst` is int64; `+` makes a fresh
+        # float64 array, which is then normalised in place
         nxt = nxt + np.bincount(sec.one_dst, weights=g1 * one, minlength=size)
-        c = float(nxt.sum())
-        alpha.append(nxt / c)
+        c = float(np.add.reduce(nxt))
+        nxt /= c
+        alpha.append(nxt)
         log_scale.append(log_scale[-1] + math.log(c))
+        cur = nxt
     cached = (tuple(alpha), np.array(log_scale))
     for arr in (*cached[0], cached[1]):
         arr.setflags(write=False)
@@ -118,7 +120,7 @@ def _gather(out, b, src, dst):
         b.take(dst, axis=0, out=out, mode="clip")
     else:
         out.fill(0.0)
-        out[src] = b[dst]
+        out[src] = b.take(dst, axis=0)
 
 
 def _column_sums(b, out=None):
@@ -126,9 +128,9 @@ def _column_sums(b, out=None):
 
     With K >= 2 both add the rows one after another in row order, and einsum
     does it in about half the time; with K = 1 sum is pairwise and einsum is
-    not, so one column keeps sum.
+    not, so one column keeps sum's ufunc, `np.add.reduce`.
     """
-    return b.sum(axis=0, out=out) if b.shape[1] == 1 else np.einsum("ij->j", b, out=out)
+    return np.add.reduce(b, axis=0, out=out) if b.shape[1] == 1 else np.einsum("ij->j", b, out=out)
 
 
 def _engine(trellis, prior, beta_final, first_row=0):
@@ -180,7 +182,7 @@ def _engine(trellis, prior, beta_final, first_row=0):
     b = beta_final
     b /= d
     log_evidence = np.log(alpha[n] @ b) + a_log[n] + np.log(d)
-    width = max(trellis.state_counts)
+    width = max(s.size for s in trellis.states)
     home = b if b.shape[0] == width else np.empty((width, k))
     spare, gather1 = np.empty((width, k)), np.empty((width, k))
     for ell in range(n - 1, -1, -1):
@@ -243,7 +245,7 @@ def run(trellis: Trellis, prior: Prior, noise, t) -> PosteriorResult:
     lapp, log_ev, section_log_ev = _engine(trellis, prior, beta_final)
     full = np.full(trellis.kept.size, np.inf)
     full[trellis.kept] = lapp[:, 0]
-    forced = int((~trellis.kept).sum())
+    forced = trellis.kept.size - trellis.n
     return PosteriorResult(
         lapp=full,
         log_evidence=float(log_ev[0]) + forced * math.log(1.0 - prior.delta),
@@ -295,5 +297,5 @@ def posterior_pairs(result) -> np.ndarray:
     """
     lapp = np.asarray(result.lapp if isinstance(result, PosteriorResult) else result, float)
     e = np.exp(-np.abs(lapp))
-    p1 = np.where(lapp >= 0, e / (1.0 + e), 1.0 / (1.0 + e))
+    p1 = np.where(lapp >= 0, e, 1.0) / (1.0 + e)
     return np.stack([1.0 - p1, p1], axis=1)

@@ -52,7 +52,7 @@ def as_bit_vector(bits, length=None, name="vector"):
         arr = arr.astype(np.uint8)
     if not np.issubdtype(arr.dtype, np.integer):
         raise ValueError(f"{name} must hold integer 0/1 entries, got dtype {arr.dtype}")
-    if arr.size and (arr.min() < 0 or arr.max() > 1):
+    if arr.size and ((arr.dtype.kind != "u" and arr.min() < 0) or arr.max() > 1):
         raise ValueError(f"{name} entries must be 0 or 1")
     if length is not None and arr.size != length:
         raise ValueError(f"{name} must have length {length}, got {arr.size}")
@@ -209,9 +209,25 @@ class Bsc(NoiseModel):
         return self.epsilon**d * (1.0 - self.epsilon) ** (tv.size - d)
 
     def likelihood_table(self, outcomes, state_indices, m):
+        """Q(t_k | s_j) as in NoiseModel; raises ValueError as `_weights` does."""
+        weights = self._weights(m)
         targets = _pack_rows(outcomes, m)
         states = np.asarray(state_indices, dtype=np.int64)
-        d = np.bitwise_count(states[:, None] ^ targets[None, :])
+        return weights.take(np.bitwise_count(states[:, None] ^ targets[None, :]))
+
+    def _weights(self, m):
+        """The likelihood per distance d = 0..m, epsilon**d * (1-epsilon)**(m-d).
+
+        Raises ValueError when epsilon > 0 and the smallest weight,
+        epsilon**m, is below the smallest normal float: no entry of a table
+        over m tests can then underflow, which would turn a likely outcome's
+        lapp into +-inf or call it impossible.
+        """
         k = np.arange(m + 1)
-        weights = self.epsilon**k * (1.0 - self.epsilon) ** (m - k)  # one per distance
-        return weights.take(d)
+        weights = self.epsilon**k * (1.0 - self.epsilon) ** (m - k)
+        if self.epsilon > 0 and weights[-1] < np.finfo(float).smallest_normal:
+            raise ValueError(
+                f"crossover probability {self.epsilon!r} underflows on {m} tests: "
+                f"epsilon**{m} is below the smallest normal float"
+            )
+        return weights

@@ -199,8 +199,9 @@ def sweep_roc(
     element, the index of the first threshold that flags the element (one
     byte each for grids of up to 127 thresholds) instead of the lapp.
     Raises ValueError, before any trellis exists, for an empty, NaN or
-    repeated threshold, a trial or worker count below one, or a channel
-    other than Noiseless or Bsc.
+    repeated threshold, a trial or worker count below one, a channel other
+    than Noiseless or Bsc, or a Bsc crossover whose likelihood table on the
+    matrix's tests would underflow (`Bsc.likelihood_table`).
     """
     lam = np.sort(np.asarray(thresholds, dtype=float))
     if lam.size == 0:
@@ -213,6 +214,8 @@ def sweep_roc(
         raise ValueError(f"trial count must be positive, got {trials}")
     if not isinstance(noise, (Noiseless, Bsc)):
         raise ValueError("simulation draws outcomes only for noiseless or BSC channels")
+    if isinstance(noise, Bsc):
+        noise._weights(matrix.m)  # raises for a crossover whose likelihoods would underflow
     if workers < 1:
         raise ValueError(f"worker count must be positive, got {workers}")
     # a round holds one sampled chunk and one thread per worker

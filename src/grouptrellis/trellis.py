@@ -207,9 +207,16 @@ def _build(m, masks, kept, outcome=None, final=None):
         states.append(left := right)
     ramp.setflags(write=False)  # every section views it: a write to one would reach all
     sections = []
-    for left, arrays in zip(states, labels):
+    for left, (zero_src, zero_dst, one_src, one_dst) in zip(states, labels):
         every = ramp[: left.size]
-        sections.append(EdgeSection(*(every if a is None else a for a in arrays)))
+        sections.append(
+            EdgeSection(
+                every if zero_src is None else zero_src,
+                every if zero_dst is None else zero_dst,
+                every if one_src is None else one_src,
+                every if one_dst is None else one_dst,
+            )
+        )
     for arr in (outcome, kept):
         if arr is not None:
             arr.setflags(write=False)
@@ -267,8 +274,8 @@ def build_reduced(matrix: TestMatrix, t) -> Trellis:
         raise SizeLimitError(
             f"outcome fires {m0} tests; reduced construction is guarded to {MAX_TESTS}"
         )
-    kept = matrix.entries[tv == 0].sum(axis=0) == 0
-    masks = _pack_rows(matrix.entries[np.ix_(tv == 1, kept)].T, m0)
+    kept = ~matrix.entries[tv == 0].any(axis=0)
+    masks = _pack_rows(matrix.entries[tv == 1][:, kept].T, m0)
     return _build(m0, masks, kept, tv, (1 << m0) - 1)
 
 

@@ -9,10 +9,22 @@ import pytest
 
 import grouptrellis
 from grouptrellis import (
+    Bsc,
+    Noiseless,
+    Prior,
+    ThresholdRule,
+    bernoulli_matrix,
+    build_complete,
+    build_reduced,
     comp_decide,
     compute_syndrome,
+    decide,
     ebch_64_57_parity_check,
+    expurgate,
+    hypergraph_incidence,
+    posterior_pairs,
     read_matrix,
+    run,
     write_matrix,
 )
 from grouptrellis.cli import main
@@ -146,6 +158,72 @@ class TestApp:
         assert capsys.readouterr().out == want
 
 
+class TestAppRows:
+    """Each row is `f"{ell} {lapp:.12g} {p0:.12g} {p1:.12g} {flag}"` of the library's values."""
+
+    CASES = {
+        "hypergraph reduced": (
+            ["--kind", "hypergraph", "--vertices", "9", "--subset-size", "3",
+             "--trellis", "reduced"],
+            hypergraph_incidence(9, 3), "111011100", Noiseless(), build_reduced, 0.05, "inf",
+        ),
+        "ebch bsc complete": (
+            ["--kind", "ebch", "--eps", "0.05"],
+            ebch_64_57_parity_check(), "1011101", Bsc(0.05),
+            lambda matrix, t: build_complete(matrix), 0.02, "2.5",
+        ),
+        "bernoulli expurgated": (
+            ["--kind", "bernoulli", "--rows", "12", "--cols", "48", "--density", "0.15",
+             "--trellis", "expurgated"],
+            bernoulli_matrix(12, 48, 0.15, 0), "111000000001", Noiseless(), expurgate, 0.05, "0",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_rows_format_the_library_values(self, case, capsys):
+        flags, matrix, outcome, noise, build, delta, threshold = self.CASES[case]
+        argv = ["app", *flags, "--delta", str(delta), "--outcome", outcome,
+                "--threshold", threshold]
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        t = np.array([int(c) for c in outcome], np.uint8)
+        result = run(build(matrix, t), Prior(delta), noise, t)
+        pairs = posterior_pairs(result)
+        flagged = decide(result.lapp, ThresholdRule(threshold=float(threshold)))
+        want = [
+            f"{ell} {lapp:.12g} {p0:.12g} {p1:.12g} {flag}"
+            for ell, (lapp, (p0, p1), flag) in enumerate(zip(result.lapp, pairs, flagged))
+        ]
+        lines = text.splitlines()
+        assert f"# outcome: {outcome}" in lines
+        assert f"# log-evidence: {result.log_evidence!r}" in lines
+        assert lines[lines.index("element lapp p_clear p_defective decision") + 1:] == want
+        values = [row.split() for row in want]
+        if case != "ebch bsc complete":  # noiseless: silent-test members are certainly clear
+            assert ["inf", "1", "0", "0"] in [row[1:] for row in values]
+        assert any(row[1] not in ("inf", "-inf") and row[2] not in ("0", "1") for row in values)
+
+    def test_outcome_whitespace_is_ignored(self, toy_path, capsys):
+        assert main(["app", "--matrix", toy_path, "--delta", "0.1", "--outcome", " 1 0\n1 "]) == 0
+        assert "# outcome: 101" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text", ["10a", ""])
+    def test_bad_outcome_characters_keep_their_message(self, toy_path, capsys, text):
+        assert main(["app", "--matrix", toy_path, "--delta", "0.1", "--outcome", text]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --outcome must be a non-empty string of 0/1 characters, got {text!r}\n"
+        )
+
+    def test_underflowing_crossover_exits_2(self, capsys):
+        argv = ["app", "--kind", "ebch", "--delta", "0.02", "--eps", "1e-100",
+                "--outcome", "0000000"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: crossover probability 1e-100 underflows on 7 tests: "
+            "epsilon**7 is below the smallest normal float\n"
+        )
+
+
 class TestRoc:
     def test_identical_invocations_are_byte_identical(self, tmp_path):
         args = ["roc", "--kind", "hypergraph", "--vertices", "5", "--subset-size", "2",
@@ -162,6 +240,11 @@ class TestRoc:
         assert main(args + ["--workers", "1", "--output", str(out_a)]) == 0
         assert main(args + ["--workers", "4", "--output", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_underflowing_crossover_exits_2(self, capsys):
+        assert main(["roc", "--kind", "ebch", "--delta", "0.02", "--eps", "1e-100",
+                     "--trials", "100"]) == 2
+        assert "crossover probability 1e-100 underflows on 7 tests" in capsys.readouterr().err
 
     def test_nonpositive_workers_rejected(self, capsys):
         assert main(["roc", "--kind", "hypergraph", "--vertices", "4", "--subset-size", "2",

@@ -671,3 +671,54 @@ class TestZeroForced:
         assert [f.name for f in dataclasses.fields(result)] == [
             "lapp", "log_evidence", "section_log_evidence",
         ]
+
+
+class TestPosteriorPairsForm:
+    """One division, `where(lapp >= 0, e, 1) / (1 + e)`, gives the two-branch quotients."""
+
+    @staticmethod
+    def two_branch(lapp):
+        e = np.exp(-np.abs(lapp))
+        p1 = np.where(lapp >= 0, e / (1.0 + e), 1.0 / (1.0 + e))
+        return np.stack([1.0 - p1, p1], axis=1)
+
+    def test_bits_equal_the_two_branch_form(self):
+        rng = np.random.default_rng(3)
+        lapp = np.concatenate([
+            rng.uniform(-700.0, 700.0, 4000),
+            rng.uniform(-40.0, 40.0, 4000),
+            rng.standard_normal(2000) * 1e-6,
+            [0.0, -0.0, np.inf, -np.inf, 700.0, -700.0, 5e-324, -5e-324],
+        ])
+        got = posterior_pairs(lapp)
+        assert got.tobytes() == self.two_branch(lapp).tobytes()
+
+    def test_infinities_are_exact(self):
+        pairs = posterior_pairs(np.array([np.inf, -np.inf]))
+        assert pairs.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+
+class TestBscUnderflow:
+    """A crossover whose likelihoods would underflow raises instead of giving +-inf."""
+
+    MATRIX = bernoulli_matrix(16, 64, 0.1, 0)
+    PRIOR = Prior(0.05)
+
+    def test_run_and_posterior_table_raise(self):
+        trellis = build_complete(self.MATRIX)
+        t = np.zeros(16, np.uint8)
+        with pytest.raises(ValueError, match="crossover probability 1e-100 underflows on 16 tests"):
+            run(trellis, self.PRIOR, Bsc(1e-100), t)
+        with pytest.raises(ValueError, match="crossover probability 1e-100 underflows on 16 tests"):
+            posterior_table(trellis, self.PRIOR, Bsc(1e-100), t[None, :])
+
+    def test_smallest_accepted_crossover_gives_finite_lapp(self):
+        eps = float(np.finfo(float).smallest_normal ** (1 / 16)) * (1 + 1e-9)
+        trellis = build_complete(self.MATRIX)
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            x = (rng.random(64) < self.PRIOR.delta).astype(np.uint8)
+            t = compute_syndrome(self.MATRIX, x) ^ (rng.random(16) < 0.3)
+            result = run(trellis, self.PRIOR, Bsc(eps), t.astype(np.uint8))
+            assert np.isfinite(result.lapp).all()
+            assert math.isfinite(result.log_evidence)

@@ -150,6 +150,34 @@ class TestBscLikelihood:
             Bsc(-0.01)
 
 
+class TestBscUnderflowFloor:
+    """A crossover whose smallest weight, epsilon**m, would be subnormal is refused."""
+
+    M = 16
+    STATES = (1 << np.arange(M + 1)) - 1  # one state at every distance 0..M from all-zero
+    ZERO = np.zeros((1, M), np.uint8)
+
+    def test_weights_are_kept_bit_for_bit(self):
+        for eps in (0.05, 0.2):
+            k = np.arange(self.M + 1)
+            want = eps**k * (1.0 - eps) ** (self.M - k)
+            got = Bsc(eps).likelihood_table(self.ZERO, self.STATES, self.M)[:, 0]
+            assert got.tobytes() == want.tobytes()
+
+    def test_floor_is_the_smallest_normal_float(self):
+        tiny = np.finfo(float).smallest_normal
+        edge = float(tiny ** (1 / self.M))
+        above, below = edge * (1 + 1e-9), edge * (1 - 1e-9)
+        table = Bsc(above).likelihood_table(self.ZERO, self.STATES, self.M)
+        assert table.min() >= tiny
+        with pytest.raises(ValueError, match=f"crossover probability {below!r} underflows on 16"):
+            Bsc(below).likelihood_table(self.ZERO, self.STATES, self.M)
+
+    def test_epsilon_zero_keeps_its_exact_zeros(self):
+        table = Bsc(0.0).likelihood_table(self.ZERO, self.STATES, self.M)
+        assert table[:, 0].tolist() == [1.0] + [0.0] * self.M
+
+
 class TestNoiseModels:
     def test_noiseless_packed_is_indicator(self):
         states = np.array([0, 3, 5, 7])

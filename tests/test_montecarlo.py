@@ -314,6 +314,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             sweep_roc(PAIR, PRIOR, Noiseless(), [0.0], trials=100, seed=0, workers=0)
 
+    def test_underflowing_crossover_rejected_before_any_work(self, monkeypatch):
+        def unexpected(*args):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr(montecarlo, "build_complete", unexpected)
+        monkeypatch.setattr(montecarlo, "_sample_chunk", unexpected)
+        matrix = bernoulli_matrix(16, 64, 0.1, 0)
+        with pytest.raises(ValueError, match=r"crossover probability 1e-100 underflows on 16"):
+            sweep_roc(matrix, Prior(0.05), Bsc(1e-100), [0.0], trials=100, seed=0)
+
     def test_huge_trial_count_lists_no_chunks_up_front(self, monkeypatch):
         # a list of all 1.2e8 chunks of 10**12 trials would take about 10 GB
         def first_chunk(*args):

@@ -73,7 +73,7 @@ print("per-section spread:",
 # outcome, and the reduced trellis additionally strips the silent
 # tests and the elements they clear. All three give the same answer:
 # identical +inf pattern, finite values equal to float precision.
-for other in (run(expurgate(trellis, outcome), prior, Noiseless(), outcome),
+for other in (run(expurgate(matrix, outcome), prior, Noiseless(), outcome),
               run(build_reduced(matrix, outcome), prior, Noiseless(), outcome)):
     finite = np.isfinite(result.lapp)
     assert np.array_equal(finite, np.isfinite(other.lapp))

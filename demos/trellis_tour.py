@@ -48,7 +48,7 @@ print(complete.dump())
 # outcome. For outcome (1, 0, 1) = packed state 5, just five of the 64
 # defectivity patterns survive.
 outcome = np.array([1, 0, 1], dtype=np.uint8)
-expurgated = expurgate(complete, outcome)
+expurgated = expurgate(matrix, outcome)
 survivors = enumerate_paths(expurgated)
 print("expurgated to outcome", outcome, "->", len(survivors), "paths:")
 for p in survivors:

@@ -21,8 +21,6 @@ from .matrices import (
     write_matrix,
 )
 from .model import (
-    MAX_TESTS,
-    MAX_TRELLIS_BYTES,
     Bsc,
     MatrixFormatError,
     Noiseless,
@@ -41,7 +39,15 @@ from .montecarlo import (
     sweep_roc,
 )
 from .oracle import OracleResult, enumerate_posteriors
-from .trellis import Trellis, build_complete, build_reduced, enumerate_paths, expurgate
+from .trellis import (
+    MAX_TESTS,
+    MAX_TRELLIS_BYTES,
+    Trellis,
+    build_complete,
+    build_reduced,
+    enumerate_paths,
+    expurgate,
+)
 
 __version__ = "0.1.0"
 

@@ -16,9 +16,6 @@ from .model import MatrixFormatError, SizeLimitError, TestMatrix
 
 _GF64_PRIMITIVE = 0b1000011  # x**6 + x + 1, primitive over GF(2)
 
-#: Largest hypergraph incidence matrix built, in columns (k-subsets).
-MAX_COLUMNS = 1 << 20
-
 #: Largest matrix generated or read, in entries (tests x elements); checked
 #: before any array of that size is allocated.
 MAX_ENTRIES = 1 << 24
@@ -43,10 +40,6 @@ def hypergraph_incidence(vertices: int, subset_size: int) -> TestMatrix:
             f"subset size must lie in [1, {vertices}], got {subset_size}"
         )
     count = math.comb(vertices, subset_size)
-    if count > MAX_COLUMNS:
-        raise SizeLimitError(
-            f"C({vertices}, {subset_size}) = {count} columns exceeds the guard {MAX_COLUMNS}"
-        )
     _check_entries(vertices, count)
     members = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(vertices), subset_size)),

@@ -18,15 +18,6 @@ from functools import cached_property
 
 import numpy as np
 
-#: Hard ceiling on the number of tests accepted by trellis-based code paths.
-#: State spaces grow like 2**m; beyond this we refuse rather than thrash.
-MAX_TESTS = 24
-
-#: Memory a trellis may take, charged while its states grow and before any
-#: edge array exists; a larger construction raises SizeLimitError.
-MAX_TRELLIS_BYTES = 2 << 30
-
-
 class NotASyndromeError(ValueError):
     """Observed outcome vector lies outside the OR-channel image of the matrix."""
 
@@ -90,8 +81,10 @@ class TestMatrix:
 
     @cached_property
     def column_masks(self):
-        """Columns packed as integers, bit i set when the element joins test i."""
-        return _pack_rows(self.entries.T, self.m)
+        """Columns packed as integers, bit i set when the element joins test i; read-only."""
+        masks = _pack_rows(self.entries.T, self.m)
+        masks.setflags(write=False)
+        return masks
 
 
 @dataclasses.dataclass(frozen=True)
@@ -201,10 +194,12 @@ class Bsc(NoiseModel):
     def likelihood(self, t, s):
         """epsilon**d * (1-epsilon)**(m-d), m the length of t and d its distance to s.
 
-        epsilon = 0 degenerates to the 0/1 indicator of equality.
+        epsilon = 0 degenerates to the 0/1 indicator of equality.  Raises
+        ValueError where `_weights(m)` does, as the engine's table would.
         """
         tv = as_bit_vector(t, None, "observed vector")
         sv = as_bit_vector(s, tv.size, "syndrome vector")
+        self._weights(tv.size)
         d = int(np.count_nonzero(tv != sv))
         return self.epsilon**d * (1.0 - self.epsilon) ** (tv.size - d)
 

@@ -46,8 +46,6 @@ import dataclasses
 import numpy as np
 
 from .model import (
-    MAX_TESTS,
-    MAX_TRELLIS_BYTES,
     NotASyndromeError,
     SizeLimitError,
     TestMatrix,
@@ -56,6 +54,14 @@ from .model import (
     as_bit_vector,
     bits_to_index,
 )
+
+#: Most packed tests a trellis is built over: all of them, or a reduced
+#: trellis's fired ones.  The position table has 2**m entries.
+MAX_TESTS = 24
+
+#: Memory a trellis may take, charged while its states grow and before any
+#: edge array exists; a larger construction raises SizeLimitError.
+MAX_TRELLIS_BYTES = 2 << 30
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -82,7 +88,8 @@ class Trellis:
     full-length noiseless outcome it was pruned for, and its paths end in
     `states[-1][0]`.  `kept` masks the population elements the trellis
     unrolls, one per section; it is all True except in a reduced trellis,
-    whose dropped elements sit in silent tests.  Both arrays are read-only.
+    whose dropped elements sit in silent tests.  These arrays and
+    `column_masks`, one packed pool column per section, are read-only.
     """
 
     m: int
@@ -156,6 +163,8 @@ def _build(m, masks, kept, outcome=None, final=None):
     before a depth past it keeps any array.  NotASyndromeError, naming the
     outcome bits, means the root cannot reach `final`.
     """
+    if m > MAX_TESTS:
+        raise SizeLimitError(f"{m} tests to pack; trellis construction is guarded to {MAX_TESTS}")
     charged = _TABLE_BYTES << m
     if charged > MAX_TRELLIS_BYTES:
         raise SizeLimitError(
@@ -217,19 +226,10 @@ def _build(m, masks, kept, outcome=None, final=None):
                 every if one_dst is None else one_dst,
             )
         )
-    for arr in (outcome, kept):
+    for arr in (masks, outcome, kept):
         if arr is not None:
             arr.setflags(write=False)
     return Trellis(m, masks, tuple(states), tuple(sections), outcome, kept)
-
-
-def _complete_masks(matrix):
-    """A copy of the matrix's column masks, guarded to MAX_TESTS tests."""
-    if matrix.m > MAX_TESTS:
-        raise SizeLimitError(
-            f"matrix has {matrix.m} tests; trellis construction is guarded to {MAX_TESTS}"
-        )
-    return matrix.column_masks.copy()
 
 
 def build_complete(matrix: TestMatrix) -> Trellis:
@@ -240,24 +240,18 @@ def build_complete(matrix: TestMatrix) -> Trellis:
     structured matrices is far fewer.  Raises SizeLimitError when the states
     would pass MAX_TRELLIS_BYTES.
     """
-    return _build(matrix.m, _complete_masks(matrix), np.ones(matrix.n, bool))
+    return _build(matrix.m, matrix.column_masks, np.ones(matrix.n, bool))
 
 
-def expurgate(source: Trellis | TestMatrix, t) -> Trellis:
-    """Restrict the complete trellis to paths whose outcome equals `t`.
+def expurgate(matrix: TestMatrix, t) -> Trellis:
+    """The complete trellis of `matrix` restricted to paths whose outcome equals `t`.
 
-    `source` is that trellis or its TestMatrix, from which the complete
-    trellis is never built (the MAX_TESTS guard applies).  Raises
-    NotASyndromeError when `t` is not a reachable noiseless outcome.
+    The complete trellis itself is never built; the MAX_TESTS guard
+    applies.  Raises NotASyndromeError when `t` is not a reachable noiseless
+    outcome.
     """
-    if isinstance(source, TestMatrix):
-        masks, kept = _complete_masks(source), np.ones(source.n, bool)
-    elif source.outcome is not None:
-        raise ValueError("expurgation starts from a complete trellis")
-    else:
-        masks, kept = source.column_masks.copy(), source.kept
-    tv = as_bit_vector(t, source.m, "outcome vector")
-    return _build(source.m, masks, kept, tv, bits_to_index(tv))
+    tv = as_bit_vector(t, matrix.m, "outcome vector")
+    return _build(matrix.m, matrix.column_masks, np.ones(matrix.n, bool), tv, bits_to_index(tv))
 
 
 def build_reduced(matrix: TestMatrix, t) -> Trellis:
@@ -266,14 +260,10 @@ def build_reduced(matrix: TestMatrix, t) -> Trellis:
     Silent tests force every element in their pools to be non-defective; those
     elements and the silent rows are dropped before building.  The remaining
     sub-trellis is expurgated towards the all-ones outcome over the fired
-    tests, so the packing guard applies to the number of fired tests only.
+    tests, so the MAX_TESTS guard applies to the number of fired tests only.
     """
     tv = as_bit_vector(t, matrix.m, "outcome vector")
     m0 = int(tv.sum())
-    if m0 > MAX_TESTS:
-        raise SizeLimitError(
-            f"outcome fires {m0} tests; reduced construction is guarded to {MAX_TESTS}"
-        )
     kept = ~matrix.entries[tv == 0].any(axis=0)
     masks = _pack_rows(matrix.entries[tv == 1][:, kept].T, m0)
     return _build(m0, masks, kept, tv, (1 << m0) - 1)

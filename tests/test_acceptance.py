@@ -94,7 +94,7 @@ def test_criterion_2_worked_example_golden_facts(toy_matrix):
     t = np.array([1, 0, 1], dtype=np.uint8)
     complete = build_complete(toy_matrix)
     depth_one = complete.states[1].tolist() == [0, 5]
-    expurgated = expurgate(complete, t)
+    expurgated = expurgate(toy_matrix, t)
     # elements 2, 3, 5 in one-based counting carry only 0-labeled edges
     one_edge_counts = [expurgated.sections[d].one_src.size for d in range(6)]
     silent_sections = [c == 0 for c in one_edge_counts] == [False, True, True, False, True, False]
@@ -237,7 +237,7 @@ def test_criterion_6_consistency_identities():
         section_ok = np.allclose(
             res.section_log_evidence, res.log_evidence, rtol=1e-12, atol=1e-12
         )
-        res_e = run(expurgate(complete, t), prior, Noiseless(), t)
+        res_e = run(expurgate(matrix, t), prior, Noiseless(), t)
         res_r = run(build_reduced(matrix, t), prior, Noiseless(), t)
         kinds_ok = True
         for other in (res_e, res_r):

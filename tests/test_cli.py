@@ -108,6 +108,25 @@ class TestApp:
         assert main(["app", "--delta", "0.1", "--outcome", "101"]) == 2
         assert "--matrix" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--matrix", "{toy}", "--kind", "ebch", "--outcome", "101"],
+             "give either --matrix or --kind, not both"),
+            (["--kind", "bernoulli", "--rows", "3", "--outcome", "101"],
+             "--kind bernoulli requires --rows and --cols"),
+            (["--matrix", "{toy}", "--outcome", "101", "--outcome-file", "{toy}"],
+             "give either --outcome or --outcome-file, not both"),
+            (["--matrix", "{toy}"],
+             "an outcome is required: give --outcome BITS or --outcome-file PATH"),
+        ],
+        ids=["matrix-and-kind", "bernoulli-without-cols", "two-outcomes", "no-outcome"],
+    )  # fmt: skip
+    def test_conflicting_or_missing_inputs_exit_2(self, toy_path, capsys, flags, message):
+        argv = ["app", "--delta", "0.1", *(f.format(toy=toy_path) for f in flags)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_missing_matrix_file_is_an_io_error(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.txt")
         assert main(["app", "--matrix", missing, "--delta", "0.1", "--outcome", "1"]) == 3
@@ -143,10 +162,7 @@ class TestApp:
         x = np.zeros(48, dtype=np.uint8)
         x[[5, 17, 30]] = 1
         argv += ["--outcome", "".join(map(str, compute_syndrome(matrix, x)))]
-        expurgate, build_complete = cli.expurgate, cli.build_complete
-        with monkeypatch.context() as patch:  # the expurgated trellis of the complete one
-            patch.setattr(cli, "expurgate", lambda m, t: expurgate(build_complete(m), t))
-            assert main(argv) == 0
+        assert main(argv) == 0
         want = capsys.readouterr().out
 
         def unexpected(*args):
@@ -283,6 +299,11 @@ class TestRoc:
         assert main(["roc", "--kind", "ebch", "--delta", "0.1", "--trials", "100",
                      "--lambdas", "abc"]) == 2
 
+    def test_empty_lambda_list_rejected(self, capsys):
+        assert main(["roc", "--kind", "ebch", "--delta", "0.1", "--trials", "100",
+                     "--lambdas", ","]) == 2
+        assert capsys.readouterr().err == "error: --lambdas must name at least one threshold\n"
+
     def test_conflicting_noise_flags_rejected(self, capsys):
         assert main(["roc", "--kind", "ebch", "--delta", "0.1", "--trials", "100",
                      "--noiseless", "--eps", "0.1"]) == 2
@@ -395,6 +416,18 @@ class TestOracleCheck:
     def test_size_guards(self, capsys):
         assert main(["oracle-check", "--cases", "5", "--max-n", "30"]) == 2
         assert "--max-n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--cases", "0"], "--cases must be positive, got 0"),
+            (["--max-m", "11"], "--max-m must lie in [1, 10], got 11"),
+        ],
+        ids=["no-cases", "max-m"],
+    )
+    def test_bad_counts_exit_2(self, capsys, flags, message):
+        assert main(["oracle-check", *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestEntryPoint:

@@ -87,7 +87,7 @@ class TestToyGolden:
 class TestKindEquality:
     def test_toy_all_three_kinds_agree(self, toy_matrix):
         complete = run(build_complete(toy_matrix), PRIOR, Noiseless(), T_101)
-        expurg = run(expurgate(build_complete(toy_matrix), T_101), PRIOR, Noiseless(), T_101)
+        expurg = run(expurgate(toy_matrix, T_101), PRIOR, Noiseless(), T_101)
         reduced = run(build_reduced(toy_matrix, T_101), PRIOR, Noiseless(), T_101)
         for other in (expurg, reduced):
             assert np.allclose(complete.lapp, other.lapp, rtol=1e-12, equal_nan=False)
@@ -99,7 +99,7 @@ class TestKindEquality:
         for _ in range(40):
             matrix, t = _random_instance(rng)
             complete = run(build_complete(matrix), PRIOR, Noiseless(), t)
-            expurg = run(expurgate(build_complete(matrix), t), PRIOR, Noiseless(), t)
+            expurg = run(expurgate(matrix, t), PRIOR, Noiseless(), t)
             reduced = run(build_reduced(matrix, t), PRIOR, Noiseless(), t)
             for other in (expurg, reduced):
                 finite = np.isfinite(complete.lapp)
@@ -313,7 +313,7 @@ class TestStreamingBackward:
             matrix = TestMatrix((rng.random((m, n)) < 0.3).astype(np.uint8))
             t = compute_syndrome(matrix, (rng.random(n) < 0.3).astype(np.uint8))
             reference = enumerate_posteriors(matrix, t, PRIOR, Noiseless())
-            for trellis in (expurgate(build_complete(matrix), t), build_reduced(matrix, t)):
+            for trellis in (expurgate(matrix, t), build_reduced(matrix, t)):
                 partial += sum(
                     min(sec.zero_src.size, sec.one_src.size) < trellis.states[ell].size
                     for ell, sec in enumerate(trellis.sections)
@@ -386,7 +386,7 @@ class TestBitwiseReference:
                     assert got.tobytes() == want.tobytes()
             self._assert_run_matches(complete, prior, Bsc(0.1), noisy[0])
             t = clean[0]
-            for trellis in (complete, expurgate(complete, t), build_reduced(matrix, t)):
+            for trellis in (complete, expurgate(matrix, t), build_reduced(matrix, t)):
                 seen += [len(depths) for depths in _identity_sections(trellis)]
                 self._assert_run_matches(trellis, prior, Noiseless(), t)
         assert (seen > 0).all()
@@ -427,7 +427,7 @@ class TestBitwiseReference:
                 got = posterior_table(_copied_sections(complete), prior, Bsc(0.1), rows)
                 assert got.tobytes() == want.tobytes()
             cases = [(complete, Bsc(0.1), noisy[0]), (complete, Noiseless(), t)]
-            cases += [(expurgate(complete, t), Noiseless(), t)]
+            cases += [(expurgate(matrix, t), Noiseless(), t)]
             cases += [(build_reduced(matrix, t), Noiseless(), t)]
             for trellis, noise, outcome in cases:
                 copied = _copied_sections(trellis)
@@ -566,12 +566,12 @@ class TestValidation:
             run(build_complete(twin), PRIOR, Noiseless(), [1, 0])
 
     def test_expurgated_requires_matching_outcome(self, toy_matrix):
-        trellis = expurgate(build_complete(toy_matrix), T_101)
+        trellis = expurgate(toy_matrix, T_101)
         with pytest.raises(ValueError):
             run(trellis, PRIOR, Noiseless(), [1, 1, 1])
 
     def test_expurgated_rejects_noise(self, toy_matrix):
-        trellis = expurgate(build_complete(toy_matrix), T_101)
+        trellis = expurgate(toy_matrix, T_101)
         with pytest.raises(ValueError):
             run(trellis, PRIOR, Bsc(0.05), T_101)
 
@@ -634,7 +634,7 @@ class TestPosteriorTable:
     def test_requires_complete_kind(self, toy_matrix):
         for trellis in (
             build_reduced(toy_matrix, T_101),
-            expurgate(build_complete(toy_matrix), T_101),
+            expurgate(toy_matrix, T_101),
         ):
             with pytest.raises(ValueError, match="complete trellis"):
                 posterior_table(trellis, PRIOR, Noiseless(), T_101[None, :])
@@ -644,6 +644,12 @@ class TestPosteriorTable:
         trellis = build_complete(toy_matrix)
         with pytest.raises(ValueError):
             posterior_table(trellis, PRIOR, Noiseless(), np.array([[2, 0, 1]], dtype))
+
+    def test_batch_of_the_wrong_width_rejected(self):
+        trellis = build_complete(bernoulli_matrix(7, 10, 0.3, 0))
+        want = r"expected a \(K, 7\) outcome array, got shape \(2, 6\)"
+        with pytest.raises(ValueError, match=want):
+            posterior_table(trellis, PRIOR, Noiseless(), np.zeros((2, 6), np.uint8))
 
     def test_empty_batch(self, toy_matrix):
         trellis = build_complete(toy_matrix)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from grouptrellis import (
     compute_syndrome,
     index_to_bits,
 )
+from grouptrellis.model import _pack_rows
 from conftest import TOY_ENTRIES
 from helpers import all_vectors, naive_syndrome
 
@@ -41,6 +44,11 @@ class TestTestMatrix:
     def test_entries_are_immutable(self, toy_matrix):
         with pytest.raises(ValueError):
             toy_matrix.entries[0, 0] = 0
+
+    def test_column_masks_are_read_only(self, toy_matrix):
+        with pytest.raises(ValueError, match="read-only"):
+            toy_matrix.column_masks[:] = 0
+        assert toy_matrix.column_masks.tolist() == [5, 3, 6, 1, 2, 4]
 
     def test_caller_array_stays_writeable_and_unshared(self):
         entries = np.array([[1, 1, 0], [0, 1, 1]], np.uint8)
@@ -124,6 +132,21 @@ class TestPacking:
         with pytest.raises(SizeLimitError):
             bits_to_index(np.zeros(64, dtype=np.uint8))
 
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: bits_to_index(np.zeros((2, 3), np.uint8)), ValueError,
+             "bit vector must be one-dimensional, got shape (2, 3)"),
+            (lambda: index_to_bits(0, 64), SizeLimitError, "bit count must lie in [0, 63], got 64"),
+            (lambda: _pack_rows(np.zeros((2, 4), np.uint8), 3), ValueError,
+             "expected a (K, 3) array of outcomes, got shape (2, 4)"),
+        ],
+        ids=["bits_to_index-2d", "index_to_bits-64", "pack_rows-width"],
+    )  # fmt: skip
+    def test_malformed_arguments_rejected(self, call, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            call()
+
 
 class TestBscLikelihood:
     def test_hand_value(self):
@@ -140,6 +163,12 @@ class TestBscLikelihood:
     @settings(max_examples=50)
     def test_normalized_over_outcomes(self, m, eps, data):
         s = np.array(data.draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)), np.uint8)
+        try:
+            Bsc(eps).likelihood_table(s[None, :], [0], m)
+        except ValueError:  # the scalar refuses exactly the crossovers the table refuses
+            with pytest.raises(ValueError, match="underflows"):
+                Bsc(eps).likelihood(s, s)
+            return
         total = sum(Bsc(eps).likelihood(t, s) for t in all_vectors(m))
         assert total == pytest.approx(1.0, rel=1e-12)
 
@@ -172,6 +201,15 @@ class TestBscUnderflowFloor:
         assert table.min() >= tiny
         with pytest.raises(ValueError, match=f"crossover probability {below!r} underflows on 16"):
             Bsc(below).likelihood_table(self.ZERO, self.STATES, self.M)
+
+    def test_scalar_refuses_what_the_table_refuses(self):
+        tiny = np.finfo(float).smallest_normal
+        edge = float(tiny ** (1 / self.M))
+        above, below = edge * (1 + 1e-9), edge * (1 - 1e-9)
+        ones = np.ones(self.M, np.uint8)
+        assert Bsc(above).likelihood(self.ZERO[0], ones) >= tiny
+        with pytest.raises(ValueError, match=f"crossover probability {below!r} underflows on 16"):
+            Bsc(below).likelihood(self.ZERO[0], self.ZERO[0])
 
     def test_epsilon_zero_keeps_its_exact_zeros(self):
         table = Bsc(0.0).likelihood_table(self.ZERO, self.STATES, self.M)

@@ -302,6 +302,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="noiseless or BSC"):
             sweep_roc(PAIR, PRIOR, object(), [0.0], 100, seed=0)
 
+    def test_empty_threshold_grid_rejected(self):
+        with pytest.raises(ValueError, match="threshold grid must not be empty"):
+            sweep_roc(PAIR, PRIOR, Noiseless(), [], trials=100, seed=0)
+
     def test_duplicate_thresholds_rejected(self):
         with pytest.raises(ValueError):
             sweep_roc(PAIR, PRIOR, Noiseless(), [0.0, 0.0], trials=100, seed=0)

@@ -113,6 +113,30 @@ class TestGuards:
         with pytest.raises(SizeLimitError):
             enumerate_posteriors(matrix, compute_syndrome(matrix, [1, 0]), PRIOR, noise)
 
+    def test_underflowing_crossover_is_refused_as_the_engine_refuses_it(self):
+        # enumerated, element 1 would get mass1 = 0 although its exact mass is positive
+        matrix = TestMatrix(np.array([[1, 0], [0, 1], [1, 1]], dtype=np.uint8))
+        t, noise = np.array([1, 0, 0], np.uint8), Bsc(1e-200)
+        message = "crossover probability 1e-200 underflows on 3 tests"
+        for refuse in (
+            lambda: enumerate_posteriors(matrix, t, PRIOR, noise),
+            lambda: noise.likelihood(t, [1, 0, 1]),
+            lambda: run(build_complete(matrix), PRIOR, noise, t),
+        ):
+            with pytest.raises(ValueError, match=message):
+                refuse()
+
+    def test_bsc_masses_keep_their_bits(self, toy_matrix):
+        result = enumerate_posteriors(toy_matrix, [1, 1, 0], PRIOR, Bsc(0.05))
+        assert [v.hex() for v in result.mass0.tolist()] == [
+            "0x1.37b5a0f2649d4p-4", "0x1.c3434989697e8p-7", "0x1.37b5a0f2649d2p-4",
+            "0x1.fe935dfc70ba9p-5", "0x1.fe935dfc70baep-5", "0x1.3aadd61a310c6p-4",
+        ]  # fmt: skip
+        assert [v.hex() for v in result.mass1.tolist()] == [
+            "0x1.6df5a6e0a9f95p-10", "0x1.05050e5cba157p-4", "0x1.6df5a6e0a9f96p-10",
+            "0x1.f11e447d773dep-7", "0x1.f11e447d773d9p-7", "0x1.5fd0b9db1c5fdp-11",
+        ]  # fmt: skip
+
     def test_test_count_guard_comes_before_enumeration(self):
         # a first chunk of 2**16 vectors would hold a 105 MB syndrome product
         matrix = TestMatrix(np.eye(200, 17, dtype=np.uint8))
@@ -203,5 +227,5 @@ class TestSubsetLatticeOracle:
             t = _syndrome_of(matrix, defectives)
             lapp, log_evidence = subset_lattice_posteriors(matrix.entries, t, 0.05)
             assert np.isinf(lapp).any() and np.isfinite(lapp).any()
-            for trellis in (complete, expurgate(complete, t), build_reduced(matrix, t)):
+            for trellis in (complete, expurgate(matrix, t), build_reduced(matrix, t)):
                 _assert_matches(run(trellis, Prior(0.05), Noiseless(), t), lapp, log_evidence)

@@ -90,7 +90,7 @@ class TestEdgeStructure:
     def test_zero_edges_are_self_loops(self, toy_matrix):
         for trellis in (
             build_complete(toy_matrix),
-            expurgate(build_complete(toy_matrix), T_101),
+            expurgate(toy_matrix, T_101),
             build_reduced(toy_matrix, T_101),
         ):
             for depth in range(trellis.n):
@@ -101,7 +101,7 @@ class TestEdgeStructure:
     def test_one_edges_or_in_the_column_mask(self, toy_matrix):
         for trellis in (
             build_complete(toy_matrix),
-            expurgate(build_complete(toy_matrix), T_101),
+            expurgate(toy_matrix, T_101),
             build_reduced(toy_matrix, T_101),
         ):
             for depth in range(trellis.n):
@@ -137,7 +137,7 @@ class TestEdgeStructure:
             matrix = TestMatrix(entries)
             t = compute_syndrome(matrix, (rng.random(12) < 0.3).astype(np.uint8))
             complete = build_complete(matrix)
-            for trellis in (complete, expurgate(complete, t), build_reduced(matrix, t)):
+            for trellis in (complete, expurgate(matrix, t), build_reduced(matrix, t)):
                 for ell, sec in enumerate(trellis.sections):
                     left, right = trellis.states[ell], trellis.states[ell + 1]
                     zero_column = trellis.column_masks[ell] == 0
@@ -172,7 +172,7 @@ class TestSharedRamp:
         for _ in range(20):
             matrix = TestMatrix((rng.random((5, 12)) < 0.3).astype(np.uint8))
             t = compute_syndrome(matrix, (rng.random(12) < 0.3).astype(np.uint8))
-            for trellis in (expurgate(build_complete(matrix), t), build_reduced(matrix, t)):
+            for trellis in (expurgate(matrix, t), build_reduced(matrix, t)):
                 full = [
                     src
                     for ell, sec in enumerate(trellis.sections)
@@ -202,12 +202,12 @@ class TestExpurgatedToy:
     def test_silent_covered_sections_have_no_one_edges(self, toy_matrix):
         # elements 1, 2, 4 sit in a silent test, so their sections keep only
         # 0-labeled edges once paths are pinned to outcome 101
-        trellis = expurgate(build_complete(toy_matrix), T_101)
+        trellis = expurgate(toy_matrix, T_101)
         one_counts = [trellis.sections[d].one_src.size for d in range(6)]
         assert [c == 0 for c in one_counts] == [False, True, True, False, True, False]
 
     def test_paths_are_exactly_the_compatible_set(self, toy_matrix):
-        trellis = expurgate(build_complete(toy_matrix), T_101)
+        trellis = expurgate(toy_matrix, T_101)
         got = {tuple(row) for row in enumerate_paths(trellis)}
         want = {tuple(x) for x in compatible_vectors(toy_matrix.entries, T_101)}
         assert want == {
@@ -220,13 +220,13 @@ class TestExpurgatedToy:
         assert got == want
 
     def test_final_state_is_the_outcome(self, toy_matrix):
-        trellis = expurgate(build_complete(toy_matrix), T_101)
+        trellis = expurgate(toy_matrix, T_101)
         assert trellis.states[-1].tolist() == [5]
         assert trellis.outcome.tolist() == T_101.tolist()
         assert bits_to_index(trellis.outcome) == trellis.states[-1][0] == 5
 
     def test_no_dead_ends(self, toy_matrix):
-        trellis = expurgate(build_complete(toy_matrix), T_101)
+        trellis = expurgate(toy_matrix, T_101)
         for depth in range(trellis.n):
             sec = trellis.sections[depth]
             out_deg = np.zeros(trellis.states[depth].size, dtype=int)
@@ -241,15 +241,7 @@ class TestExpurgatedToy:
     def test_unreachable_outcome_rejected(self):
         twin = TestMatrix(np.array([[1, 1], [1, 1]], dtype=np.uint8))
         with pytest.raises(NotASyndromeError):
-            expurgate(build_complete(twin), [1, 0])
-
-    def test_requires_complete_trellis(self, toy_matrix):
-        for trellis in (
-            expurgate(build_complete(toy_matrix), T_101),
-            build_reduced(toy_matrix, T_101),
-        ):
-            with pytest.raises(ValueError, match="complete trellis"):
-                expurgate(trellis, T_101)
+            expurgate(twin, [1, 0])
 
 
 class TestReducedToy:
@@ -267,7 +259,7 @@ class TestReducedToy:
         reduced = build_reduced(toy_matrix, T_101)
         kept = np.flatnonzero(reduced.kept)
         sub_paths = {tuple(row) for row in enumerate_paths(reduced)}
-        full_paths = enumerate_paths(expurgate(build_complete(toy_matrix), T_101))
+        full_paths = enumerate_paths(expurgate(toy_matrix, T_101))
         assert sub_paths == {tuple(row[kept]) for row in full_paths}
         # dropped elements are identically zero on every full path
         dropped = np.flatnonzero(~reduced.kept)
@@ -297,8 +289,7 @@ class TestRecord:
         complete = build_complete(toy_matrix)
         assert complete.outcome is None
         assert complete.kept.dtype == bool and complete.kept.tolist() == [True] * 6
-        pruned = [expurgate(complete, t), build_reduced(toy_matrix, t)]
-        assert pruned[0].kept is complete.kept
+        pruned = [expurgate(toy_matrix, t), build_reduced(toy_matrix, t)]
         for trellis in [complete, *pruned]:
             with pytest.raises(ValueError, match="read-only"):
                 trellis.kept[0] = not trellis.kept[0]
@@ -307,6 +298,14 @@ class TestRecord:
             with pytest.raises(ValueError, match="read-only"):
                 trellis.outcome[1] = 1
         assert t.flags.writeable  # the caller's outcome is copied, not frozen
+
+    def test_column_masks_are_read_only_and_shared(self, toy_matrix):
+        t = T_101
+        complete, expurgated = build_complete(toy_matrix), expurgate(toy_matrix, t)
+        assert complete.column_masks is expurgated.column_masks is toy_matrix.column_masks
+        for trellis in (complete, expurgated, build_reduced(toy_matrix, t)):
+            with pytest.raises(ValueError, match="read-only"):
+                trellis.column_masks[0] = 0
 
 
 @st.composite
@@ -322,17 +321,16 @@ class TestPrunedRandom:
     @settings(deadline=None)
     def test_paths_are_the_compatible_vectors(self, entries):
         matrix = TestMatrix(entries)
-        complete = build_complete(matrix)
         for t in all_vectors(matrix.m):
             want = compatible_vectors(entries, t)
             if not want:
                 with pytest.raises(NotASyndromeError):
-                    expurgate(complete, t)
+                    expurgate(matrix, t)
                 with pytest.raises(NotASyndromeError):
                     build_reduced(matrix, t)
                 continue
             want = np.array(want)
-            paths = enumerate_paths(expurgate(complete, t))
+            paths = enumerate_paths(expurgate(matrix, t))
             assert sorted(map(tuple, paths)) == sorted(map(tuple, want))
             reduced = build_reduced(matrix, t)
             kept = np.flatnonzero(reduced.kept)
@@ -348,11 +346,10 @@ class TestPrunedLabels:
         # a kept state's 1-edge survives iff the element's column lies inside
         # the final state, whatever the state
         matrix = TestMatrix(entries)
-        complete = build_complete(matrix)
         for t in all_vectors(matrix.m):
             if not compatible_vectors(entries, t):
                 continue
-            for trellis in (expurgate(complete, t), build_reduced(matrix, t)):
+            for trellis in (expurgate(matrix, t), build_reduced(matrix, t)):
                 final = int(trellis.states[-1][0])
                 for ell, sec in enumerate(trellis.sections):
                     inside = trellis.column_masks[ell] & ~final == 0
@@ -360,31 +357,6 @@ class TestPrunedLabels:
 
 
 class TestExpurgateFromMatrix:
-    def test_same_trellis_as_from_the_complete_one(self):
-        rng = np.random.Generator(np.random.Philox(key=83))
-        checked = 0
-        for _ in range(60):
-            m, n = int(rng.integers(1, 9)), int(rng.integers(1, 14))
-            matrix = TestMatrix((rng.random((m, n)) < rng.random()).astype(np.uint8))
-            complete = build_complete(matrix)
-            for _ in range(3):
-                t = (rng.random(m) < 0.5).astype(np.uint8)
-                if rng.random() < 0.7:
-                    t = compute_syndrome(matrix, (rng.random(n) < 0.3).astype(np.uint8))
-                try:
-                    want = expurgate(complete, t)
-                except NotASyndromeError:
-                    with pytest.raises(NotASyndromeError):
-                        expurgate(matrix, t)
-                    continue
-                got = expurgate(matrix, t)
-                assert got.dump() == want.dump()
-                assert [s.tolist() for s in got.states] == [s.tolist() for s in want.states]
-                assert got.outcome.tolist() == want.outcome.tolist()
-                assert got.kept.tolist() == want.kept.tolist() and not got.kept.flags.writeable
-                checked += 1
-        assert checked > 100
-
     def test_guard_on_test_count(self):
         matrix = TestMatrix(np.eye(MAX_TESTS + 1, dtype=np.uint8))
         with pytest.raises(SizeLimitError, match="guarded"):
@@ -445,11 +417,11 @@ class TestConstructionRandom:
             compatible = prefix[:, n] == target
             if not compatible.any():
                 with pytest.raises(NotASyndromeError):
-                    expurgate(complete, t)
+                    expurgate(matrix, t)
                 with pytest.raises(NotASyndromeError):
                     build_reduced(matrix, t)
                 continue
-            _assert_construction(expurgate(complete, t), prefix[compatible])
+            _assert_construction(expurgate(matrix, t), prefix[compatible])
             reduced = build_reduced(matrix, t)
             fired, kept = np.flatnonzero(reduced.outcome), np.flatnonzero(reduced.kept)
             sub = entries[np.ix_(fired, kept)]
@@ -518,6 +490,28 @@ class TestGuards:
         t[: MAX_TESTS + 1] = 1
         with pytest.raises(SizeLimitError, match="guarded"):
             build_reduced(matrix, t)
+
+    @pytest.mark.parametrize("flavour", ["complete", "expurgated", "reduced"])
+    def test_one_guard_counts_packed_tests_before_any_table(self, flavour, monkeypatch):
+        # the guard reads the trellis module's MAX_TESTS; a 2**17-entry table
+        # would take 1 MiB, so a guard that came after it would show in the peak
+        monkeypatch.setattr(trellis_module, "MAX_TESTS", 16)
+        matrix = TestMatrix(np.eye(20, dtype=np.uint8))
+        t = np.zeros(matrix.m, dtype=np.uint8)
+        t[:17] = 1
+        build, packed = {
+            "complete": (lambda: build_complete(matrix), 20),
+            "expurgated": (lambda: expurgate(matrix, t), 20),
+            "reduced": (lambda: build_reduced(matrix, t), 17),
+        }[flavour]
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError, match=f"^{packed} tests to pack; .* guarded to 16$"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 << 10
 
     def test_construction_tables_are_checked_up_front(self, monkeypatch):
         # 18 tests need 8 B x 2**18 of table, more than a 1 MiB budget
@@ -615,7 +609,7 @@ class TestGuards:
 
 class TestDump:
     def test_line_format_and_order(self, toy_matrix):
-        trellis = expurgate(build_complete(toy_matrix), T_101)
+        trellis = expurgate(toy_matrix, T_101)
         lines = trellis.dump().splitlines()
         assert all(re.fullmatch(r"\d+ \d+ \d+ [01]", line) for line in lines)
         keys = []
@@ -626,7 +620,7 @@ class TestDump:
 
     def test_edges_match_compatible_vector_walks(self, toy_matrix):
         # independent route: the union of edges used by compatible vectors
-        trellis = expurgate(build_complete(toy_matrix), T_101)
+        trellis = expurgate(toy_matrix, T_101)
         want = _edge_set_from_vectors(
             toy_matrix.entries, compatible_vectors(toy_matrix.entries, T_101)
         )

@@ -40,7 +40,6 @@ from .montecarlo import (
 )
 from .oracle import OracleResult, enumerate_posteriors
 from .trellis import (
-    MAX_TESTS,
     MAX_TRELLIS_BYTES,
     Trellis,
     build_complete,
@@ -52,7 +51,6 @@ from .trellis import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "MAX_TESTS",
     "MAX_TRELLIS_BYTES",
     "Bsc",
     "MatrixFormatError",

@@ -7,7 +7,6 @@ space-separated 0/1 entries.  Nothing else: no comments, no blank rows.
 from __future__ import annotations
 
 import itertools
-import math
 from pathlib import Path
 
 import numpy as np
@@ -39,8 +38,15 @@ def hypergraph_incidence(vertices: int, subset_size: int) -> TestMatrix:
         raise ValueError(
             f"subset size must lie in [1, {vertices}], got {subset_size}"
         )
-    count = math.comb(vertices, subset_size)
-    _check_entries(vertices, count)
+    count = 1
+    for i in range(min(subset_size, vertices - subset_size) + 1):
+        if i:
+            count = count * (vertices - i + 1) // i  # C(vertices, i), exact
+        if vertices * count > MAX_ENTRIES:  # counts only grow: stop at the first too large
+            raise SizeLimitError(
+                f"the {subset_size}-subsets of {vertices} vertices make a matrix "
+                f"over the guard of {MAX_ENTRIES} entries"
+            )
     members = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(vertices), subset_size)),
         dtype=np.intp,

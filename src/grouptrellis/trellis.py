@@ -33,10 +33,10 @@ straight away derives that section's edges, since a state `s` has a
 
 Construction costs O(total states) time plus one table of 2**m entries
 indexed by packed state, the int64 positions of the newest depth's states;
-it is never initialised, so only the pages where states land are touched.
-The table, then each depth's 32 B per kept state, are charged against
-MAX_TRELLIS_BYTES, so an oversize trellis raises SizeLimitError before the
-depth past the budget keeps any array.
+it is never initialised, so few states touch few of its pages.  Every
+flavour charges the table plus the root, then each depth's 32 B per kept
+state, against MAX_TRELLIS_BYTES, and raises SizeLimitError at the first
+charge past it, before that array exists.
 """
 
 from __future__ import annotations
@@ -55,12 +55,9 @@ from .model import (
     bits_to_index,
 )
 
-#: Most packed tests a trellis is built over: all of them, or a reduced
-#: trellis's fired ones.  The position table has 2**m entries.
-MAX_TESTS = 24
-
-#: Memory a trellis may take, charged while its states grow and before any
-#: edge array exists; a larger construction raises SizeLimitError.
+#: Memory a trellis's construction may take; inference is not charged
+#: (`run` adds three float64 arrays as wide as the widest depth, and
+#: `posterior_table` three such arrays per column of its block).
 MAX_TRELLIS_BYTES = 2 << 30
 
 
@@ -158,14 +155,12 @@ def _build(m, masks, kept, outcome=None, final=None):
     section's prefix view of one int64 ramp, as long as the widest depth;
     where it also keeps every state in place (the 0-label of a section whose
     states do not change; both labels of an all-zero column) that same view
-    object is its destinations too.  The table, then each depth's 32 B per
-    kept state, are charged against MAX_TRELLIS_BYTES; SizeLimitError comes
-    before a depth past it keeps any array.  NotASyndromeError, naming the
-    outcome bits, means the root cannot reach `final`.
+    object is its destinations too.  The table plus the root, then each
+    depth's 32 B per kept state, are charged against MAX_TRELLIS_BYTES, and
+    SizeLimitError comes before the array past it exists.  NotASyndromeError,
+    naming the outcome bits, means the root cannot reach `final`.
     """
-    if m > MAX_TESTS:
-        raise SizeLimitError(f"{m} tests to pack; trellis construction is guarded to {MAX_TESTS}")
-    charged = _TABLE_BYTES << m
+    charged = (_TABLE_BYTES << m) + _STATE_BYTES
     if charged > MAX_TRELLIS_BYTES:
         raise SizeLimitError(
             f"{m} tests need 2**{m}-entry construction tables of {charged} bytes; "
@@ -183,7 +178,6 @@ def _build(m, masks, kept, outcome=None, final=None):
     ramp = np.arange(1, dtype=np.int64)
     left = np.zeros(1, dtype=np.int64)
     states, labels = [left], []  # None in `labels` stands for the section's ramp view
-    charged += _STATE_BYTES
     for depth, mask in enumerate(masks.tolist(), start=1):
         zero_src, right = None, left
         if suf[depth] != suf[depth - 1]:
@@ -235,10 +229,10 @@ def _build(m, masks, kept, outcome=None, final=None):
 def build_complete(matrix: TestMatrix) -> Trellis:
     """Build the complete trellis of a test matrix.
 
-    Guarded to MAX_TESTS pooled tests because the state space can reach
-    2**m.  Only syndromes actually reachable are materialised, which for
-    structured matrices is far fewer.  Raises SizeLimitError when the states
-    would pass MAX_TRELLIS_BYTES.
+    Only syndromes actually reachable are materialised, at most 2**m per
+    depth and for structured matrices far fewer.  The 2**m position table
+    plus the root, then each depth's states, are charged against
+    MAX_TRELLIS_BYTES; SizeLimitError comes at the first charge past it.
     """
     return _build(matrix.m, matrix.column_masks, np.ones(matrix.n, bool))
 
@@ -246,9 +240,9 @@ def build_complete(matrix: TestMatrix) -> Trellis:
 def expurgate(matrix: TestMatrix, t) -> Trellis:
     """The complete trellis of `matrix` restricted to paths whose outcome equals `t`.
 
-    The complete trellis itself is never built; the MAX_TESTS guard
-    applies.  Raises NotASyndromeError when `t` is not a reachable noiseless
-    outcome.
+    The complete trellis itself is never built.  The build budget is
+    charged as for `build_complete`, over all m tests.  Raises
+    NotASyndromeError when `t` is not a reachable noiseless outcome.
     """
     tv = as_bit_vector(t, matrix.m, "outcome vector")
     return _build(matrix.m, matrix.column_masks, np.ones(matrix.n, bool), tv, bits_to_index(tv))
@@ -260,7 +254,7 @@ def build_reduced(matrix: TestMatrix, t) -> Trellis:
     Silent tests force every element in their pools to be non-defective; those
     elements and the silent rows are dropped before building.  The remaining
     sub-trellis is expurgated towards the all-ones outcome over the fired
-    tests, so the MAX_TESTS guard applies to the number of fired tests only.
+    tests, so the build budget charges a table over the fired tests only.
     """
     tv = as_bit_vector(t, matrix.m, "outcome vector")
     m0 = int(tv.sum())

@@ -61,6 +61,12 @@ class TestApp:
         reduced = capsys.readouterr().out
         assert _table_rows(complete) == _table_rows(reduced)
 
+    def test_hypergraph_on_26_tests(self, capsys):
+        # the 2**26-entry position table, 512 MiB, fits the build budget
+        assert main(["app", "--kind", "hypergraph", "--vertices", "26", "--subset-size", "25",
+                     "--delta", "0.05", "--outcome", "1" * 26]) == 0
+        assert len(_table_rows(capsys.readouterr().out)) == 26
+
     def test_pruned_trellises_agree_with_complete(self, capsys):
         x = np.zeros(64, dtype=np.uint8)
         x[[3, 41]] = 1

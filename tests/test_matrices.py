@@ -1,4 +1,5 @@
 import itertools
+import time
 import tracemalloc
 
 import numpy as np
@@ -127,6 +128,14 @@ class TestEntryGuard:
         finally:
             tracemalloc.stop()
         assert peak < 8192  # the exception's own bytes; the float draw alone is 12,800
+
+    @pytest.mark.parametrize("vertices", [200_000, 2_000_000])
+    def test_hypergraph_is_refused_before_its_column_count_grows(self, vertices):
+        # C(vertices, vertices / 2) has tens of thousands of digits or more
+        start = time.perf_counter()
+        with pytest.raises(SizeLimitError, match="over the guard of 16777216 entries$"):
+            hypergraph_incidence(vertices, vertices // 2)
+        assert time.perf_counter() - start < 0.5
 
     def test_reader_checks_the_header(self, monkeypatch, tmp_path):
         path = tmp_path / "m.txt"

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grouptrellis import (
-    MAX_TESTS,
+    Bsc,
+    Noiseless,
     NotASyndromeError,
     Prior,
     SizeLimitError,
@@ -23,7 +24,9 @@ from grouptrellis import (
     build_reduced,
     compute_syndrome,
     enumerate_paths,
+    enumerate_posteriors,
     expurgate,
+    run,
 )
 from grouptrellis import trellis as trellis_module
 from grouptrellis.forward_backward import _forward
@@ -358,8 +361,9 @@ class TestPrunedLabels:
 
 class TestExpurgateFromMatrix:
     def test_guard_on_test_count(self):
-        matrix = TestMatrix(np.eye(MAX_TESTS + 1, dtype=np.uint8))
-        with pytest.raises(SizeLimitError, match="guarded"):
+        # 29 tests: the position table alone is 4 GiB, over the 2 GiB budget
+        matrix = TestMatrix(np.eye(29, dtype=np.uint8))
+        with pytest.raises(SizeLimitError, match="^29 tests need 2\\*\\*29-entry construction"):
             expurgate(matrix, np.zeros(matrix.m, dtype=np.uint8))
 
 
@@ -479,23 +483,29 @@ class TestUninitialisedTable:
 
 class TestGuards:
     def test_complete_guard_on_test_count(self):
-        with pytest.raises(SizeLimitError, match="guarded"):
-            build_complete(TestMatrix(np.eye(MAX_TESTS + 1, dtype=np.uint8)))
+        # 25 tests: their 256 MiB position table fits the budget
+        assert build_complete(TestMatrix(np.ones((25, 3), dtype=np.uint8))).state_counts == [
+            1, 2, 2, 2,
+        ]
+        with pytest.raises(SizeLimitError, match="construction tables"):
+            build_complete(TestMatrix(np.eye(29, dtype=np.uint8)))
 
     def test_reduced_guard_counts_fired_tests_only(self):
-        matrix = TestMatrix(np.eye(MAX_TESTS + 6, dtype=np.uint8))
+        matrix = TestMatrix(np.eye(30, dtype=np.uint8))
         t = np.zeros(matrix.m, dtype=np.uint8)
         t[:2] = 1
         assert build_reduced(matrix, t).m == 2
-        t[: MAX_TESTS + 1] = 1
-        with pytest.raises(SizeLimitError, match="guarded"):
+        t[:29] = 1
+        with pytest.raises(SizeLimitError, match="^29 tests need 2\\*\\*29-entry construction"):
             build_reduced(matrix, t)
 
     @pytest.mark.parametrize("flavour", ["complete", "expurgated", "reduced"])
     def test_one_guard_counts_packed_tests_before_any_table(self, flavour, monkeypatch):
-        # the guard reads the trellis module's MAX_TESTS; a 2**17-entry table
-        # would take 1 MiB, so a guard that came after it would show in the peak
-        monkeypatch.setattr(trellis_module, "MAX_TESTS", 16)
+        # a 1 MiB budget: 17 packed tests' table fills it exactly, so the
+        # root's 32 B pass it; a guard that came after that table would show
+        # in the peak
+        budget = trellis_module._TABLE_BYTES << 17
+        monkeypatch.setattr(trellis_module, "MAX_TRELLIS_BYTES", budget)
         matrix = TestMatrix(np.eye(20, dtype=np.uint8))
         t = np.zeros(matrix.m, dtype=np.uint8)
         t[:17] = 1
@@ -504,14 +514,57 @@ class TestGuards:
             "expurgated": (lambda: expurgate(matrix, t), 20),
             "reduced": (lambda: build_reduced(matrix, t), 17),
         }[flavour]
+        charged = (trellis_module._TABLE_BYTES << packed) + trellis_module._STATE_BYTES
         tracemalloc.start()
         try:
-            with pytest.raises(SizeLimitError, match=f"^{packed} tests to pack; .* guarded to 16$"):
+            with pytest.raises(
+                SizeLimitError,
+                match=f"^{packed} tests need 2\\*\\*{packed}-entry construction tables of "
+                f"{charged} bytes; the trellis budget is {budget} bytes$",
+            ):
                 build()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 256 << 10
+
+    def test_table_and_root_are_charged_before_any_allocation(self):
+        # at the default budget, 28 tests' 2 GiB table fits only without the root's 32 B
+        matrix = TestMatrix(np.eye(28, dtype=np.uint8))
+        tracemalloc.start()
+        try:
+            with pytest.raises(
+                SizeLimitError,
+                match="^28 tests need 2\\*\\*28-entry construction tables of 2147483680 bytes",
+            ):
+                build_complete(matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 << 10
+
+    def test_twenty_five_tests_match_the_oracle(self):
+        # 25 tests: each build's position table is 256 MiB
+        matrix = bernoulli_matrix(25, 12, 0.15, 2)
+        x = np.zeros(matrix.n, dtype=np.uint8)
+        x[[0, 3, 6, 10]] = 1  # 17 tests fire; 5 elements stay uncertain without noise
+        t = compute_syndrome(matrix, x)
+        prior = Prior(0.1)
+        complete = build_complete(matrix)
+        cases = [
+            (complete, Bsc(0.05)),
+            (complete, Noiseless()),
+            (expurgate(matrix, t), Noiseless()),
+            (build_reduced(matrix, t), Noiseless()),
+        ]
+        for trellis, noise in cases:
+            want = enumerate_posteriors(matrix, t, prior, noise).lapp
+            got = run(trellis, prior, noise, t).lapp
+            assert np.array_equal(np.isinf(got), np.isinf(want))
+            assert np.array_equal(got[np.isinf(got)], want[np.isinf(want)])
+            finite = ~np.isinf(want)
+            assert finite.any()
+            assert np.allclose(got[finite], want[finite], rtol=1e-9, atol=0)
 
     def test_construction_tables_are_checked_up_front(self, monkeypatch):
         # 18 tests need 8 B x 2**18 of table, more than a 1 MiB budget

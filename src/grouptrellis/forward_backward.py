@@ -70,6 +70,16 @@ class PosteriorResult:
     section_log_evidence: np.ndarray
 
 
+def _edge_weights(prior):
+    """The edge weights gamma of labels 0 and 1, as 0-d float64 arrays.
+
+    numpy's fast elementwise loop takes a 0-d operand as it is but converts
+    a Python float first, so a 0-d factor saves that step and gives the same
+    products.
+    """
+    return np.array(1.0 - prior.delta), np.array(prior.delta)
+
+
 def _forward(trellis, prior):
     """Scaled forward metrics per depth and cumulative log scales.
 
@@ -86,36 +96,38 @@ def _forward(trellis, prior):
     delta, cached = _ALPHA_CACHE.get(trellis, (None, None))
     if delta == prior.delta:
         return cached
-    g0, g1 = 1.0 - prior.delta, prior.delta  # edge weights gamma of labels 0 and 1
+    g0, g1 = _edge_weights(prior)
+    bincount, total, log = np.bincount, np.add.reduce, math.log
+    c = np.empty(())  # each depth's sum, 0-d for the same reason as the weights
     cur = np.ones(1)
     alpha = [cur]
     log_scale = [0.0]
-    for sec, right in zip(trellis.sections, trellis.states[1:]):
+    for (zero_src, zero_dst, one_src, one_dst), right in zip(trellis.sections, trellis.states[1:]):
         size = right.size
-        if sec.zero_dst is sec.zero_src:  # the 0-edges keep every state in place
+        if zero_dst is zero_src:  # the 0-edges keep every state in place
             nxt = g0 * cur
         else:
-            zero = cur if sec.zero_src.size == cur.size else cur[sec.zero_src]
-            nxt = np.bincount(sec.zero_dst, weights=g0 * zero, minlength=size)
-        one = cur if sec.one_src.size == cur.size else cur[sec.one_src]
+            zero = cur if zero_src.size == cur.size else cur[zero_src]
+            nxt = bincount(zero_dst, weights=g0 * zero, minlength=size)
+        one = cur if one_src.size == cur.size else cur[one_src]
         # not +=: the bincount of an empty `zero_dst` is int64; `+` makes a fresh
         # float64 array, which is then normalised in place
-        nxt = nxt + np.bincount(sec.one_dst, weights=g1 * one, minlength=size)
-        c = float(np.add.reduce(nxt))
+        nxt = nxt + bincount(one_dst, weights=g1 * one, minlength=size)
+        total(nxt, out=c)
         nxt /= c
         alpha.append(nxt)
-        log_scale.append(log_scale[-1] + math.log(c))
+        log_scale.append(log_scale[-1] + log(c))
         cur = nxt
     cached = (tuple(alpha), np.array(log_scale))
     for arr in (*cached[0], cached[1]):
-        arr.setflags(write=False)
+        arr.setflags(False)  # write=False, by position: a keyword doubles the call's cost
     _ALPHA_CACHE[trellis] = (prior.delta, cached)
     return cached
 
 
 def _gather(out, b, src, dst):
     """out[src[k]] = b[dst[k]], with 0 where a left state has no edge of the label."""
-    if src.size == out.shape[0]:  # the label leaves every left state: src is the identity
+    if src.size == len(out):  # the label leaves every left state: src is the identity
         # mode="raise" would buffer `out`; the indices are in range by construction
         b.take(dst, axis=0, out=out, mode="clip")
     else:
@@ -168,49 +180,53 @@ def _engine(trellis, prior, beta_final, first_row=0):
     n, k = trellis.n, beta_final.shape[1]
     scale = np.empty((n + 1, k))  # scale[l]: the column sums that beta_l was divided by
     d = _column_sums(beta_final, scale[n])
-    dead = np.flatnonzero(d == 0.0)
+    dead = (d == 0.0).nonzero()[0]
     if dead.size:
         raise NotASyndromeError(
             f"outcome row {first_row + int(dead[0])} has zero probability at every "
             f"reachable syndrome ({dead.size} such row(s) in rows {first_row}-"
             f"{first_row + k - 1})"
         )
-    g0, g1 = 1.0 - prior.delta, prior.delta  # edge weights gamma of labels 0 and 1
+    g0, g1 = _edge_weights(prior)
     alpha, a_log = _forward(trellis, prior)
     z0 = np.empty((n, k))  # z0[l] = alpha_l . (0-gather of beta_l+1); z1 likewise
     z1 = np.empty((n, k))
     b = beta_final
     b /= d
     log_evidence = np.log(alpha[n] @ b) + a_log[n] + np.log(d)
-    width = max(s.size for s in trellis.states)
-    home = b if b.shape[0] == width else np.empty((width, k))
+    width = max(map(len, trellis.states))
+    home = b if len(b) == width else np.empty((width, k))
     spare, gather1 = np.empty((width, k)), np.empty((width, k))
-    for ell in range(n - 1, -1, -1):
-        sec = trellis.sections[ell]
-        a = alpha[ell]
+    matmul, multiply, column_sums = np.matmul, np.multiply, _column_sums
+    # with K = 1 divide by a 0-d view of the column sum: a (1,) row would take
+    # numpy's general broadcasting loop, a 0-d one its fast loop
+    divisor = (0, ...) if k == 1 else ...
+    # depth by depth from the last: the section, alpha and the rows written
+    depths = zip(reversed(trellis.sections), alpha[:n][::-1], z0[::-1], z1[::-1], scale[:n][::-1])
+    for (zero_src, zero_dst, one_src, one_dst), a, z0_row, z1_row, scale_row in depths:
         bo = gather1[: a.size]
-        if sec.zero_dst is sec.zero_src:  # the 0-edges keep every state in place
+        if zero_dst is zero_src:  # the 0-edges keep every state in place
             bz = b
         else:
             bz = spare[: a.size]
-            _gather(bz, b, sec.zero_src, sec.zero_dst)
+            _gather(bz, b, zero_src, zero_dst)
             home, spare = spare, home
-        np.matmul(a, bz, out=z0[ell])
-        if bz is b and sec.one_dst is sec.one_src:  # so do the 1-edges
-            z1[ell] = z0[ell]
-            np.multiply(b, g1, out=bo)
+        matmul(a, bz, out=z0_row)
+        if bz is b and one_dst is one_src:  # so do the 1-edges
+            z1_row[:] = z0_row
+            multiply(b, g1, out=bo)
         else:
-            _gather(bo, b, sec.one_src, sec.one_dst)
-            np.matmul(a, bo, out=z1[ell])
+            _gather(bo, b, one_src, one_dst)
+            matmul(a, bo, out=z1_row)
             bo *= g1
         bz *= g0
         bz += bo
         b = bz
-        b /= _column_sums(b, scale[ell])
+        b /= column_sums(b, scale_row)[divisor]
     u0 = g0 * z0
     u1 = g1 * z1
     # log of the contiguous table: a reversed view may take a loop that rounds differently
-    b_log = np.cumsum(np.log(scale)[::-1], axis=0)[::-1]
+    b_log = np.add.accumulate(np.log(scale)[::-1], axis=0)[::-1]
     with np.errstate(divide="ignore"):
         lapp = np.log(u0) - np.log(u1)
         section_log_evidence = np.log(u0 + u1) + (a_log[:n, None] + b_log[1:])
@@ -239,7 +255,7 @@ def run(trellis: Trellis, prior: Prior, noise, t) -> PosteriorResult:
     else:
         if not isinstance(noise, Noiseless):
             raise ValueError("expurgated and reduced trellises encode a noiseless outcome")
-        if not np.array_equal(tv, own):
+        if tv.tobytes() != own.tobytes():  # both uint8 and of one length
             raise ValueError("outcome differs from the one this trellis was pruned for")
         beta_final = np.ones((1, 1))
     lapp, log_ev, section_log_ev = _engine(trellis, prior, beta_final)

@@ -136,8 +136,11 @@ def _pack_rows(rows, m):
 
 
 def _sorted_unique(values):
-    """np.unique(values) for a 1-D array, without the numpy.ma import np.unique makes."""
-    values = np.sort(values)
+    """np.unique(values) for a 1-D array, without the numpy.ma import np.unique makes.
+
+    Sorts `values` in place: pass a copy of an array that must keep its order.
+    """
+    values.sort()
     return np.concatenate((values[:1], values[1:][values[1:] != values[:-1]]))
 
 

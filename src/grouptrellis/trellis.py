@@ -42,6 +42,7 @@ charge past it, before that array exists.
 from __future__ import annotations
 
 import dataclasses
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,20 +62,28 @@ from .model import (
 MAX_TRELLIS_BYTES = 2 << 30
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class EdgeSection:
+class EdgeSection(NamedTuple):
     """Edges between two adjacent depths, stored positionally.
 
     zero_src[k] -> zero_dst[k] is the k-th 0-labeled edge, as indices into the
     state arrays left and right of the section; likewise for the 1-labels.
-    Internal: the layout the engine reads, not one of the package's public
-    names, and an engine that prunes per outcome would replace it.
+    A tuple of the four arrays in that order, so the engine unpacks a section
+    in one step, and `_build` makes one with `tuple.__new__` for a quarter of
+    a frozen dataclass's cost.  Its fields cannot be rebound, and it compares
+    and hashes by identity, as the frozen dataclass did: arrays have no
+    single truth value to compare by.  Internal: the layout the engine reads,
+    not one of the package's public names, and an engine that prunes per
+    outcome would replace it.
     """
 
     zero_src: np.ndarray
     zero_dst: np.ndarray
     one_src: np.ndarray
     one_dst: np.ndarray
+
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -179,12 +188,11 @@ def _build(m, masks, kept, outcome=None, final=None):
     left = np.zeros(1, dtype=np.int64)
     states, labels = [left], []  # None in `labels` stands for the section's ramp view
     for depth, mask in enumerate(masks.tolist(), start=1):
-        zero_src, right = None, left
+        zero_src, zero_dst, right = None, None, left
         if suf[depth] != suf[depth - 1]:
-            hit = (left | suf[depth]) == final
-            if not hit.all():
-                zero_src = np.flatnonzero(hit)
-                right = left[zero_src]
+            hit = ((left | suf[depth]) == final).nonzero()[0]
+            if hit.size < left.size:
+                zero_src, right = hit, left[hit]
         stay, cand = right, None
         if final is None or not mask & ~final:  # else no 1-successor reaches `final`
             cand = left | mask
@@ -202,22 +210,26 @@ def _build(m, masks, kept, outcome=None, final=None):
             if right.size > ramp.size:
                 ramp = np.arange(right.size, dtype=np.int64)
             pos[right] = ramp[: right.size]
-        zero = [None, None] if right is left else [zero_src, pos[stay]]
+            zero_dst = pos[stay]
         if cand is None:
-            labels.append(zero + [np.empty(0, np.int64), np.empty(0, np.int64)])
+            labels.append((zero_src, zero_dst, np.empty(0, np.int64), np.empty(0, np.int64)))
         else:
-            labels.append(zero + [None, None if mask == 0 else pos[cand]])
+            labels.append((zero_src, zero_dst, None, None if mask == 0 else pos[cand]))
         states.append(left := right)
     ramp.setflags(write=False)  # every section views it: a write to one would reach all
+    record = tuple.__new__  # EdgeSection(*arrays) would also bind its four parameters
     sections = []
     for left, (zero_src, zero_dst, one_src, one_dst) in zip(states, labels):
         every = ramp[: left.size]
         sections.append(
-            EdgeSection(
-                every if zero_src is None else zero_src,
-                every if zero_dst is None else zero_dst,
-                every if one_src is None else one_src,
-                every if one_dst is None else one_dst,
+            record(
+                EdgeSection,
+                (
+                    every if zero_src is None else zero_src,
+                    every if zero_dst is None else zero_dst,
+                    every if one_src is None else one_src,
+                    every if one_dst is None else one_dst,
+                ),
             )
         )
     for arr in (masks, outcome, kept):
@@ -257,9 +269,10 @@ def build_reduced(matrix: TestMatrix, t) -> Trellis:
     tests, so the build budget charges a table over the fired tests only.
     """
     tv = as_bit_vector(t, matrix.m, "outcome vector")
-    m0 = int(tv.sum())
-    kept = ~matrix.entries[tv == 0].any(axis=0)
-    masks = _pack_rows(matrix.entries[tv == 1][:, kept].T, m0)
+    fired = tv.view(bool)  # 0/1 bytes
+    m0 = np.count_nonzero(fired)
+    kept = ~matrix.entries[~fired].any(axis=0)
+    masks = _pack_rows(matrix.entries[fired][:, kept].T, m0)
     return _build(m0, masks, kept, tv, (1 << m0) - 1)
 
 

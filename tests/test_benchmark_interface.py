@@ -12,7 +12,16 @@ from pathlib import Path
 
 import numpy as np
 
-from grouptrellis import Bsc, Prior, bernoulli_matrix, build_complete, compute_syndrome, run
+from grouptrellis import (
+    Bsc,
+    Prior,
+    bernoulli_matrix,
+    build_complete,
+    build_reduced,
+    compute_syndrome,
+    expurgate,
+    run,
+)
 
 _PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 _SPEC = importlib.util.spec_from_file_location("perfbench_tracing", _PATH)
@@ -36,6 +45,16 @@ def test_trellis_stats_counts_the_edge_arrays():
     assert all(value > 0 for value in stats.values())
     assert stats["states"] == sum(trellis.state_counts)
     assert stats["edges"] == sum(sec.zero_dst.size + sec.one_dst.size for sec in trellis.sections)
+
+
+
+def test_trellis_stats_reads_pruned_sections():
+    matrix = bernoulli_matrix(8, 24, 0.2, 0)
+    t = compute_syndrome(matrix, (np.arange(24) % 7 == 0).astype(np.uint8))
+    for trellis in (expurgate(matrix, t), build_reduced(matrix, t)):
+        stats = tracing._trellis_stats(trellis)
+        assert stats["states"] == sum(trellis.state_counts)
+        assert stats["edges"] == sum(sec.zero_dst.size + sec.one_dst.size for sec in trellis.sections)
 
 
 def test_run_result_takes_a_replaced_lapp():

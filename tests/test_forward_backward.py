@@ -446,8 +446,7 @@ class TestBitwiseReference:
 def _copied_sections(trellis):
     """The trellis with every edge array copied, so no section shares one."""
     sections = tuple(
-        EdgeSection(*(getattr(sec, f.name).copy() for f in dataclasses.fields(sec)))
-        for sec in trellis.sections
+        EdgeSection(*(arr.copy() for arr in sec)) for sec in trellis.sections
     )
     assert not any(s.zero_dst is s.zero_src or s.one_dst is s.one_src for s in sections)
     return dataclasses.replace(trellis, sections=sections)

@@ -30,6 +30,7 @@ from grouptrellis import (
 )
 from grouptrellis import trellis as trellis_module
 from grouptrellis.forward_backward import _forward
+from grouptrellis.trellis import EdgeSection
 from helpers import all_vectors, compatible_vectors, walk_partial_syndromes
 
 T_101 = np.array([1, 0, 1], dtype=np.uint8)
@@ -199,6 +200,87 @@ class TestSharedRamp:
         ramp = 8 * max(trellis.state_counts)
         slack = 256 << 10
         assert kept <= sum(states.values()) + sum(destinations.values()) + ramp + slack
+
+
+def _three_flavours(matrix, t):
+    return build_complete(matrix), expurgate(matrix, t), build_reduced(matrix, t)
+
+
+class TestEdgeSectionRecord:
+    """The record each section is: four named arrays the engine unpacks in
+    order, compared by identity, whose fields cannot be rebound."""
+
+    FIELDS = ("zero_src", "zero_dst", "one_src", "one_dst")
+
+    def test_four_named_int64_arrays_in_order(self, toy_matrix):
+        assert EdgeSection._fields == self.FIELDS
+        for trellis in _three_flavours(toy_matrix, T_101):
+            for sec in trellis.sections:
+                assert type(sec) is EdgeSection and len(sec) == 4
+                named = [getattr(sec, name) for name in self.FIELDS]
+                assert all(arr is field for arr, field in zip(sec, named, strict=True))
+                assert all(arr.dtype == np.int64 and arr.ndim == 1 for arr in sec)
+
+    def test_fields_cannot_be_rebound_deleted_or_added(self, toy_matrix):
+        sec = build_reduced(toy_matrix, T_101).sections[0]
+        held = tuple(sec)
+        for name in self.FIELDS:
+            with pytest.raises(AttributeError):
+                setattr(sec, name, np.arange(1))
+            with pytest.raises(AttributeError):
+                delattr(sec, name)
+        with pytest.raises(AttributeError):
+            sec.extra = 1
+        with pytest.raises(TypeError):
+            sec[0] = np.arange(1)
+        assert all(arr is kept for arr, kept in zip(sec, held, strict=True))
+
+    def test_equality_and_hash_are_identity(self, toy_matrix):
+        sec = build_complete(toy_matrix).sections[1]
+        twin = EdgeSection(*sec)  # the same four array objects
+        assert sec == sec and not sec != sec
+        assert sec != twin and not sec == twin
+        assert hash(sec) == object.__hash__(sec)
+        assert len({sec, twin, sec}) == 2
+
+    def test_shared_arrays_are_read_only_ramp_views(self):
+        # an array that two labels or two sections hold, or whose memory they
+        # share, is a view of the one read-only ramp: a write through one
+        # label cannot reach another.  Within a section one view serves every
+        # label that leaves all left states.
+        rng = np.random.Generator(np.random.Philox(key=61))
+        views = 0
+        for _ in range(30):
+            entries = (rng.random((int(rng.integers(1, 6)), 10)) < 0.3).astype(np.uint8)
+            entries[:, rng.integers(0, 10)] = 0
+            matrix = TestMatrix(entries)
+            t = compute_syndrome(matrix, (rng.random(10) < 0.3).astype(np.uint8))
+            for trellis in _three_flavours(matrix, t):
+                ramp = None
+                seen = {}
+                for ell, sec in enumerate(trellis.sections):
+                    width = trellis.state_counts[ell]
+                    full = [arr for arr in (sec.zero_src, sec.one_src) if arr.size == width]
+                    assert all(arr is full[0] for arr in full)
+                    for arr in sec:
+                        seen.setdefault(id(arr), []).append(arr)
+                    for arr in full:
+                        ramp = arr.base if ramp is None else ramp
+                        assert arr.base is ramp and not arr.flags.writeable
+                        assert np.array_equal(arr, np.arange(width))
+                        views += 1
+                if ramp is not None:
+                    assert ramp.size == max(trellis.state_counts)
+                    assert not ramp.flags.writeable
+                    with pytest.raises(ValueError, match="read-only"):
+                        ramp[0] = 1
+                arrays = [held[0] for held in seen.values()]
+                is_view = [ramp is not None and arr.base is ramp for arr in arrays]
+                assert all(view for view, held in zip(is_view, seen.values()) if len(held) > 1)
+                owned = [arr for arr, view in zip(arrays, is_view) if not view]
+                for i, arr in enumerate(owned):
+                    assert not any(np.shares_memory(arr, other) for other in owned[i + 1 :])
+        assert views > 0
 
 
 class TestExpurgatedToy:

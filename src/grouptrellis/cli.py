@@ -128,7 +128,7 @@ def cmd_app(args):
     matrix, label = _matrix_from_args(args)
     prior = Prior(args.delta)
     noise = _noise_from_args(args)
-    if args.trellis != "complete" and not isinstance(noise, Noiseless):
+    if args.trellis != "complete" and noise.epsilon:
         raise ValueError("expurgated and reduced trellises encode a noiseless outcome")
     if args.outcome is not None and args.outcome_file is not None:
         raise ValueError("give either --outcome or --outcome-file, not both")
@@ -236,7 +236,7 @@ def cmd_oracle_check(args):
         noise = noises[case % len(noises)]
         x = (rng.random(n) < prior.delta).astype(np.uint8)
         t = compute_syndrome(matrix, x)
-        if isinstance(noise, Bsc):
+        if noise.epsilon:
             t = (t ^ (rng.random(m) < noise.epsilon)).astype(np.uint8)
         result = run(build_complete(matrix), prior, noise, t)
         reference = enumerate_posteriors(matrix, t, prior, noise)

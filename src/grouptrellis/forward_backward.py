@@ -19,12 +19,12 @@ like delta^k (1-delta)^(n-k)), both passes renormalise each depth to sum to
 one and accumulate the log of the discarded scale factors; all reported
 quantities fold the accumulated logs back in.
 
-The forward pass does not depend on the outcome, so it is computed once per
-(trellis, prior) and cached with the trellis (for its latest prior, so the
-cache never outgrows the trellis); it is internal, and no result carries
-it.  A label whose edges leave every left state has the trellis's shared
-ramp as its source, so the forward pass scatters alpha itself rather than a
-gathered copy.  The backward pass is
+The forward pass does not depend on the outcome, so for a complete trellis
+it is computed once per (trellis, prior) and cached with the trellis (for
+its latest prior, so the cache never outgrows the trellis); it is internal,
+and no result carries it.  A label whose edges leave every left state has
+the trellis's shared ramp as its source, so the forward pass scatters alpha
+itself rather than a gathered copy.  The backward pass is
 batched: `posterior_table` stacks outcome vectors as columns of the final beta
 matrix, one fixed-width column block at a time, and the pass streams from
 the last depth to the first holding one beta at a time, forming the label
@@ -42,11 +42,11 @@ import weakref
 
 import numpy as np
 
-from .model import Noiseless, NotASyndromeError, Prior, as_bit_vector
+from .model import NotASyndromeError, Prior, as_bit_vector
 from .trellis import Trellis
 
-#: Trellis -> (prevalence, forward pass) of its latest use.  One entry per
-#: trellis bounds the cache by the trellis's own state count, and an entry
+#: Complete trellis -> (prevalence, forward pass) of its latest use.  One entry
+#: per trellis bounds the cache by the trellis's own state count, and an entry
 #: goes away with its trellis.
 _ALPHA_CACHE = weakref.WeakKeyDictionary()
 
@@ -84,8 +84,8 @@ def _forward(trellis, prior):
     """Scaled forward metrics per depth and cumulative log scales.
 
     The result depends only on the trellis and the prevalence, so it is
-    cached per trellis for the latest `prior.delta` and dropped with the
-    trellis; its arrays are read-only because every call on the trellis
+    cached per complete trellis for the latest `prior.delta` and dropped with
+    the trellis; its arrays are read-only because every call on the trellis
     shares them.  True forward metrics are alpha[l] * exp(log_scale[l]).  A
     label's source as wide as the left depth is a view of the trellis's
     shared ramp, the identity, so `cur[src]` would only copy `cur`: the
@@ -102,7 +102,8 @@ def _forward(trellis, prior):
     cur = np.ones(1)
     alpha = [cur]
     log_scale = [0.0]
-    for (zero_src, zero_dst, one_src, one_dst), right in zip(trellis.sections, trellis.states[1:]):
+    sections = trellis._edges or trellis.sections
+    for (zero_src, zero_dst, one_src, one_dst), right in zip(sections, trellis.states[1:]):
         size = right.size
         if zero_dst is zero_src:  # the 0-edges keep every state in place
             nxt = g0 * cur
@@ -119,9 +120,10 @@ def _forward(trellis, prior):
         log_scale.append(log_scale[-1] + log(c))
         cur = nxt
     cached = (tuple(alpha), np.array(log_scale))
-    for arr in (*cached[0], cached[1]):
-        arr.setflags(False)  # write=False, by position: a keyword doubles the call's cost
-    _ALPHA_CACHE[trellis] = (prior.delta, cached)
+    if trellis.outcome is None:
+        for arr in (*cached[0], cached[1]):
+            arr.setflags(False)  # write=False, by position: a keyword doubles the call's cost
+        _ALPHA_CACHE[trellis] = (prior.delta, cached)
     return cached
 
 
@@ -202,7 +204,8 @@ def _engine(trellis, prior, beta_final, first_row=0):
     # numpy's general broadcasting loop, a 0-d one its fast loop
     divisor = (0, ...) if k == 1 else ...
     # depth by depth from the last: the section, alpha and the rows written
-    depths = zip(reversed(trellis.sections), alpha[:n][::-1], z0[::-1], z1[::-1], scale[:n][::-1])
+    sections = trellis._edges or trellis.sections
+    depths = zip(reversed(sections), alpha[:n][::-1], z0[::-1], z1[::-1], scale[:n][::-1])
     for (zero_src, zero_dst, one_src, one_dst), a, z0_row, z1_row, scale_row in depths:
         bo = gather1[: a.size]
         if zero_dst is zero_src:  # the 0-edges keep every state in place
@@ -236,9 +239,10 @@ def _engine(trellis, prior, beta_final, first_row=0):
 def run(trellis: Trellis, prior: Prior, noise, t) -> PosteriorResult:
     """Exact posteriors for one observed outcome vector `t`.
 
-    `noise` is one of the two channels, Noiseless or Bsc.  A complete trellis
-    (`trellis.outcome` is None) accepts either; a pruned one encodes
-    `trellis.outcome`, so `t` must equal it and `noise` must be Noiseless.
+    `noise` is a `Bsc` (`Noiseless` is its epsilon = 0 case).  A complete
+    trellis (`trellis.outcome` is None) accepts any crossover; a pruned one
+    encodes `trellis.outcome`, so `t` must equal it and `noise.epsilon` must
+    be 0.
     Raises NotASyndromeError when the outcome has zero probability under the
     model.
 
@@ -253,7 +257,7 @@ def run(trellis: Trellis, prior: Prior, noise, t) -> PosteriorResult:
     if own is None:
         beta_final = noise.likelihood_table(tv[None, :], trellis.states[-1], trellis.m)
     else:
-        if not isinstance(noise, Noiseless):
+        if noise.epsilon:
             raise ValueError("expurgated and reduced trellises encode a noiseless outcome")
         if tv.tobytes() != own.tobytes():  # both uint8 and of one length
             raise ValueError("outcome differs from the one this trellis was pruned for")

@@ -4,8 +4,8 @@ A population of n elements is screened by m pooled tests.  Pool membership is
 a binary m-by-n matrix: entry (i, l) is 1 when element l contributes to test
 i.  With defectivity vector x, the noiseless outcome of test i is the OR of
 the x bits in its pool (the "syndrome").  The observed outcome comes through
-one of two channels: `Noiseless`, where it equals the syndrome, or `Bsc`, the
-binary symmetric channel flipping each test's bit independently.
+the binary symmetric channel `Bsc`, flipping each test's bit independently;
+`Noiseless`, where it equals the syndrome, is the same code at epsilon = 0.
 
 Everything in this module is immutable and shared by the trellis, inference,
 oracle, and simulation layers.
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -144,48 +145,8 @@ def _sorted_unique(values):
     return np.concatenate((values[:1], values[1:][values[1:] != values[:-1]]))
 
 
-class NoiseModel:
-    """Observation channel between the noiseless syndrome and the test outcome.
-
-    Subclasses supply the likelihood Q(t | s) of observing outcome `t` given
-    syndrome `s`, both as a scalar and as a table over outcome rows and packed
-    syndrome indices.
-    """
-
-    def likelihood(self, t, s):
-        """Scalar Q(t | s) for bit vectors t and s."""
-        raise NotImplementedError
-
-    def likelihood_table(self, outcomes, state_indices, m):
-        """Matrix of Q(t_k | s_j): rows follow `state_indices`, columns `outcomes`.
-
-        `outcomes` is a (K, m) binary array.
-        """
-        raise NotImplementedError
-
-    def likelihood_packed(self, t, state_indices, m):
-        """Vector of Q(t | s) over syndromes given as packed integer states."""
-        row = as_bit_vector(t, m, "observed vector")[None, :]
-        return self.likelihood_table(row, state_indices, m)[:, 0]
-
-
 @dataclasses.dataclass(frozen=True)
-class Noiseless(NoiseModel):
-    """Identity channel: the outcome equals the syndrome."""
-
-    def likelihood(self, t, s):
-        tv = as_bit_vector(t, None, "observed vector")
-        sv = as_bit_vector(s, tv.size, "syndrome vector")
-        return 1.0 if np.array_equal(tv, sv) else 0.0
-
-    def likelihood_table(self, outcomes, state_indices, m):
-        targets = _pack_rows(outcomes, m)
-        states = np.asarray(state_indices, dtype=np.int64)
-        return (states[:, None] == targets[None, :]).astype(np.float64)
-
-
-@dataclasses.dataclass(frozen=True)
-class Bsc(NoiseModel):
+class Bsc:
     """Binary symmetric channel flipping each outcome bit with probability epsilon."""
 
     epsilon: float
@@ -207,11 +168,20 @@ class Bsc(NoiseModel):
         return self.epsilon**d * (1.0 - self.epsilon) ** (tv.size - d)
 
     def likelihood_table(self, outcomes, state_indices, m):
-        """Q(t_k | s_j) as in NoiseModel; raises ValueError as `_weights` does."""
+        """Q(t_k | s_j): rows follow `state_indices`, columns the (K, m) `outcomes`.
+
+        Raises ValueError as `_weights` does.
+        """
         weights = self._weights(m)
         targets = _pack_rows(outcomes, m)
         states = np.asarray(state_indices, dtype=np.int64)
-        return weights.take(np.bitwise_count(states[:, None] ^ targets[None, :]))
+        # distances outcome by outcome, so numpy's inner loop runs over the states
+        return weights.take(np.bitwise_count(targets[:, None] ^ states).T)
+
+    def likelihood_packed(self, t, state_indices, m):
+        """Vector of Q(t | s) over syndromes given as packed integer states."""
+        row = as_bit_vector(t, m, "observed vector")[None, :]
+        return self.likelihood_table(row, state_indices, m)[:, 0]
 
     def _weights(self, m):
         """The likelihood per distance d = 0..m, epsilon**d * (1-epsilon)**(m-d).
@@ -229,3 +199,18 @@ class Bsc(NoiseModel):
                 f"epsilon**{m} is below the smallest normal float"
             )
         return weights
+
+
+@dataclasses.dataclass(frozen=True)
+class Noiseless:
+    """Identity channel: `Bsc`'s own functions at epsilon = 0.
+
+    Not a `Bsc` subclass, so a `Bsc` instance check still tells it apart.
+    """
+
+    epsilon: ClassVar[float] = 0.0
+
+    likelihood = Bsc.likelihood
+    likelihood_table = Bsc.likelihood_table
+    likelihood_packed = Bsc.likelihood_packed
+    _weights = Bsc._weights

@@ -161,12 +161,11 @@ def _sample_chunk(matrix, prior, noise, seed, chunk_index, trials):
     bitgen = np.random.Philox(key=seed)
     bitgen.advance(chunk_index * _SEED_STRIDE)
     rng = np.random.Generator(bitgen)
-    # defectivity first, then channel flips: with epsilon = 0 the flip mask is
-    # all-false and the draw order makes estimates match the noiseless channel
+    # defectivity first, then channel flips, which only epsilon > 0 draws
     x = rng.random((trials, matrix.n)) < prior.delta
     # a trial's syndrome is the OR of its defective elements' columns
     packed = np.bitwise_or.reduce(x * matrix.column_masks, axis=1)
-    if isinstance(noise, Bsc):
+    if noise.epsilon:
         packed ^= _pack_rows(rng.random((trials, matrix.m)) < noise.epsilon, matrix.m)
     return x, packed
 
@@ -202,8 +201,8 @@ def sweep_roc(
 ) -> RocCurve:
     """Estimate an ROC curve over a grid of thresholds with shared trials.
 
-    Outcomes are drawn through `noise`, one of the two channels, Noiseless or
-    Bsc.  All thresholds reuse the same simulated trials, so the curve is
+    Outcomes are drawn through `noise`, a `Bsc` (`Noiseless` is its epsilon =
+    0 case).  All thresholds reuse the same simulated trials, so the curve is
     exactly monotone up to ties.  Thresholds are sorted ascending; duplicates
     are rejected to keep CSV rows unambiguous.  One threshold rule's operating
     point is `.points[0]` of a sweep over `[rule.threshold]` with
@@ -229,8 +228,7 @@ def sweep_roc(
         raise ValueError(f"trial count must be positive, got {trials}")
     if not isinstance(noise, (Noiseless, Bsc)):
         raise ValueError("simulation draws outcomes only for noiseless or BSC channels")
-    if isinstance(noise, Bsc):
-        noise._weights(matrix.m)  # raises for a crossover whose likelihoods would underflow
+    noise._weights(matrix.m)  # raises for a crossover whose likelihoods would underflow
     if workers < 1:
         raise ValueError(f"worker count must be positive, got {workers}")
     # a round holds one sampled chunk and one thread per worker

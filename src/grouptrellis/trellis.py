@@ -95,7 +95,9 @@ class Trellis:
     `states[-1][0]`.  `kept` masks the population elements the trellis
     unrolls, one per section; it is all True except in a reduced trellis,
     whose dropped elements sit in silent tests.  These arrays and
-    `column_masks`, one packed pool column per section, are read-only.
+    `column_masks`, one packed pool column per section, are read-only, as
+    are a complete trellis's state and edge arrays (the engine caches its
+    forward pass).
     """
 
     m: int
@@ -104,6 +106,9 @@ class Trellis:
     sections: tuple
     outcome: np.ndarray | None
     kept: np.ndarray
+    #: The engine's writeable owners of a complete trellis's read-only edge views
+    #: (numpy's take copies a read-only index array on every call); else empty.
+    _edges: tuple = dataclasses.field(default=(), init=False, repr=False)
 
     @property
     def n(self):
@@ -232,10 +237,23 @@ def _build(m, masks, kept, outcome=None, final=None):
                 ),
             )
         )
-    for arr in (masks, outcome, kept):
+    for arr in (masks, outcome, kept, *(states if final is None else ())):
         if arr is not None:
             arr.setflags(write=False)
-    return Trellis(m, masks, tuple(states), tuple(sections), outcome, kept)
+    trellis = Trellis(m, masks, tuple(states), tuple(sections), outcome, kept)
+    if final is None:  # the engine caches a complete trellis's forward pass
+        views = tuple(EdgeSection._make(map(_read_only_view, sec)) for sec in sections)
+        object.__setattr__(trellis, "_edges", trellis.sections)
+        object.__setattr__(trellis, "sections", views)
+    return trellis
+
+
+def _read_only_view(arr):
+    """A read-only view of `arr`, or `arr` itself when it is read-only (a ramp view)."""
+    if arr.flags.writeable:
+        arr = arr.view()
+        arr.setflags(write=False)
+    return arr
 
 
 def build_complete(matrix: TestMatrix) -> Trellis:

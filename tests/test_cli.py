@@ -22,6 +22,7 @@ from grouptrellis import (
     ebch_64_57_parity_check,
     expurgate,
     hypergraph_incidence,
+    montecarlo,
     posterior_pairs,
     read_matrix,
     run,
@@ -158,6 +159,19 @@ class TestApp:
         err = capsys.readouterr().err
         assert err == "error: expurgated and reduced trellises encode a noiseless outcome\n"
 
+    @pytest.mark.parametrize("kind", ["expurgated", "reduced"])
+    def test_pruned_trellis_takes_eps_zero(self, capsys, kind):
+        argv = ["app", "--kind", "hypergraph", "--vertices", "9", "--subset-size", "3",
+                "--trellis", kind, "--delta", "0.05", "--outcome", "111011100"]
+        assert main(argv + ["--eps", "0"]) == 0
+        with_eps = capsys.readouterr().out.splitlines()
+        assert main(argv + ["--noiseless"]) == 0
+        noiseless = capsys.readouterr().out.splitlines()
+        assert sum(line[:1].isdigit() for line in with_eps) == 84
+        at = noiseless.index("# noise: noiseless")
+        assert with_eps[at] == "# noise: bsc 0.0"
+        assert with_eps[:at] + with_eps[at + 1:] == noiseless[:at] + noiseless[at + 1:]
+
     def test_expurgated_app_never_builds_the_complete_trellis(self, monkeypatch, capsys):
         from grouptrellis import cli
         from grouptrellis import trellis as trellis_module
@@ -273,15 +287,33 @@ class TestRoc:
                      "--delta", "0.1", "--trials", "100", "--seed", "0", "--workers", "0"]) == 2
         assert capsys.readouterr().err == "error: worker count must be positive, got 0\n"
 
-    def test_eps_zero_matches_noiseless_estimates(self, tmp_path):
-        base = ["roc", "--kind", "hypergraph", "--vertices", "5", "--subset-size", "2",
-                "--delta", "0.1", "--trials", "4000", "--seed", "3"]
+    @pytest.mark.parametrize(
+        "flags, matrix",
+        [
+            (["--kind", "hypergraph", "--vertices", "5", "--subset-size", "2"],
+             hypergraph_incidence(5, 2)),
+            (["--kind", "ebch"], ebch_64_57_parity_check()),
+            (["--kind", "bernoulli", "--rows", "12", "--cols", "48", "--density", "0.15"],
+             bernoulli_matrix(12, 48, 0.15, 0)),
+        ],
+        ids=["hypergraph", "ebch", "bernoulli"],
+    )  # fmt: skip
+    def test_eps_zero_matches_noiseless_estimates(self, tmp_path, flags, matrix):
+        # epsilon = 0 draws the noiseless trials, so only the `# noise:` line differs
+        for chunk in (0, 1):
+            drawn = [
+                montecarlo._sample_chunk(matrix, Prior(0.1), noise, 3, chunk, 4000)
+                for noise in (Bsc(0.0), Noiseless())
+            ]
+            assert all(np.array_equal(a, b) for a, b in zip(*drawn, strict=True))
+        base = ["roc", *flags, "--delta", "0.1", "--trials", "4000", "--seed", "3"]
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(base + ["--eps", "0", "--output", str(out_a)]) == 0
         assert main(base + ["--noiseless", "--output", str(out_b)]) == 0
-        rows_a = [ln for ln in out_a.read_text().splitlines() if not ln.startswith("#")]
-        rows_b = [ln for ln in out_b.read_text().splitlines() if not ln.startswith("#")]
-        assert rows_a == rows_b
+        lines_a = out_a.read_text().splitlines()
+        lines_b = out_b.read_text().splitlines()
+        assert (lines_a.pop(2), lines_b.pop(2)) == ("# noise: bsc 0.0", "# noise: noiseless")
+        assert lines_a == lines_b
 
     def test_explicit_lambda_grid_to_stdout(self, capsys):
         assert main(["roc", "--kind", "hypergraph", "--vertices", "4", "--subset-size", "2",
@@ -317,8 +349,6 @@ class TestRoc:
     def test_missing_output_directory_fails_before_the_sweep(
         self, tmp_path, monkeypatch, capsys
     ):
-        from grouptrellis import montecarlo
-
         def unexpected(*args, **kwargs):
             raise AssertionError("the sweep ran")
 

@@ -19,18 +19,35 @@ from grouptrellis import (
     build_complete,
     build_reduced,
     compute_syndrome,
+    ebch_64_57_parity_check,
     enumerate_posteriors,
     expurgate,
     forward_backward,
+    hypergraph_incidence,
     posterior_pairs,
     posterior_table,
     run,
 )
 from grouptrellis.trellis import EdgeSection
+from conftest import TOY_ENTRIES
 from helpers import ScaledBsc, reference_passes, walk_partial_syndromes
 
 T_101 = np.array([1, 0, 1], dtype=np.uint8)
 PRIOR = Prior(0.1)
+
+#: The toy and the built-in designs, each with a reachable noiseless outcome.
+DESIGNS = {
+    "toy": (lambda: TestMatrix(TOY_ENTRIES), "101"),
+    "ebch": (ebch_64_57_parity_check, "1011101"),
+    "hypergraph": (lambda: hypergraph_incidence(9, 3), "111011100"),
+    "bernoulli": (lambda: bernoulli_matrix(12, 48, 0.15, 0), "111000000001"),
+}
+
+
+def _design(name):
+    """The matrix of DESIGNS[name] and its outcome as a bit vector."""
+    build, bits = DESIGNS[name]
+    return build(), np.array([int(c) for c in bits], np.uint8)
 
 
 def _traced_peak(call):
@@ -153,11 +170,24 @@ class TestConsistencyIdentities:
         section = result.section_log_evidence
         assert np.allclose(section, result.log_evidence, rtol=1e-13)
 
-    def test_bsc_zero_equals_noiseless_bitwise(self, toy_matrix):
-        a = run(build_complete(toy_matrix), PRIOR, Bsc(0.0), T_101)
-        b = run(build_complete(toy_matrix), PRIOR, Noiseless(), T_101)
-        assert np.array_equal(a.lapp, b.lapp)
-        assert a.log_evidence == b.log_evidence
+    @pytest.mark.parametrize("design", DESIGNS)
+    def test_bsc_zero_equals_noiseless_bitwise(self, design):
+        # Noiseless is Bsc's code at epsilon = 0: tables and runs on every
+        # flavour, pruned ones included, must agree to the last bit
+        matrix, t = _design(design)
+        rng = np.random.Generator(np.random.Philox(key=29))
+        xs = (rng.random((40, matrix.n)) < 0.1).astype(np.uint8)
+        rows = np.array([t, *(compute_syndrome(matrix, x) for x in xs)])
+        complete = build_complete(matrix)
+        tables = [posterior_table(complete, PRIOR, noise, rows) for noise in (Bsc(0.0), Noiseless())]
+        assert tables[0].tobytes() == tables[1].tobytes()
+        for outcome in rows[:4]:
+            for trellis in (complete, expurgate(matrix, outcome), build_reduced(matrix, outcome)):
+                a = run(trellis, PRIOR, Bsc(0.0), outcome)
+                b = run(trellis, PRIOR, Noiseless(), outcome)
+                assert a.lapp.tobytes() == b.lapp.tobytes()
+                assert a.section_log_evidence.tobytes() == b.section_log_evidence.tobytes()
+                assert a.log_evidence == b.log_evidence
 
     def test_likelihood_scaling_leaves_lapp_invariant(self, toy_matrix):
         # power-of-two scale: exact in binary floats, so lapp must be bitwise equal
@@ -224,6 +254,47 @@ class TestAlphaCache:
         again_alpha = forward_backward._forward(trellis, Prior(0.1))[0]
         assert np.array_equal(again_alpha[3], low_forward[0][3])
         assert np.array_equal(again.lapp, low.lapp)
+
+    def test_no_pruned_trellis_enters_the_cache(self):
+        matrix, t = _design("hypergraph")
+        gc.collect()
+        before = len(forward_backward._ALPHA_CACHE)
+        pruned = [expurgate(matrix, t), build_reduced(matrix, t)]
+        for trellis in pruned:
+            run(trellis, PRIOR, Noiseless(), t)
+            run(trellis, PRIOR, Bsc(0.0), t)
+        assert not any(trellis in forward_backward._ALPHA_CACHE for trellis in pruned)
+        assert len(forward_backward._ALPHA_CACHE) == before
+
+    @pytest.mark.parametrize("build", [expurgate, build_reduced], ids=["expurgated", "reduced"])
+    def test_rewritten_pruned_trellis_gives_the_fresh_pass(self, build):
+        # a pruned trellis's edge arrays can be written; a run after a write
+        # must not read a forward pass of the arrays as they were before it
+        matrix, t = _design("hypergraph")
+        trellis = build(matrix, t)
+        first = run(trellis, PRIOR, Noiseless(), t)
+        dst = next(
+            sec.zero_dst
+            for sec in trellis.sections
+            if sec.zero_dst.flags.writeable and np.unique(sec.zero_dst).size > 1
+        )
+        dst[:] = dst[::-1].copy()
+        again = run(trellis, PRIOR, Noiseless(), t)
+        fresh = run(dataclasses.replace(trellis), PRIOR, Noiseless(), t)
+        assert again.lapp.tobytes() != first.lapp.tobytes()  # the write reaches the pass
+        assert again.lapp.tobytes() == fresh.lapp.tobytes()
+        assert again.log_evidence == fresh.log_evidence
+
+    def test_replaced_sections_are_the_ones_run(self, toy_matrix):
+        # a complete trellis shows read-only views of the edge arrays the
+        # engine reads; a record given other sections must run those
+        trellis = build_complete(toy_matrix)
+        swapped = dataclasses.replace(trellis, sections=tuple(
+            EdgeSection(s.one_src, s.one_dst, s.zero_src, s.zero_dst) for s in trellis.sections
+        ))
+        got = run(swapped, PRIOR, Bsc(0.05), T_101).lapp
+        assert got.tobytes() == run(_copied_sections(swapped), PRIOR, Bsc(0.05), T_101).lapp.tobytes()
+        assert got.tobytes() != run(trellis, PRIOR, Bsc(0.05), T_101).lapp.tobytes()
 
     def test_dropped_trellis_leaves_the_cache(self, toy_matrix):
         gc.collect()

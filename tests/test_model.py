@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import re
 
 import numpy as np
@@ -217,6 +219,16 @@ class TestBscUnderflowFloor:
 
 
 class TestNoiseModels:
+    def test_noiseless_is_bsc_code_at_epsilon_zero(self):
+        # one channel implementation: every method Noiseless has is Bsc's own
+        methods = {k: v for k, v in vars(Noiseless).items() if inspect.isfunction(v)}
+        named = {k for k in methods if not k.startswith("__")}
+        assert named == {"likelihood", "likelihood_table", "likelihood_packed", "_weights"}
+        assert all(methods[k] is vars(Bsc)[k] for k in named)
+        assert Noiseless().epsilon == 0.0 and dataclasses.fields(Noiseless) == ()
+        # not a subclass: code that draws flips for a Bsc instance draws none here
+        assert not isinstance(Noiseless(), Bsc)
+
     def test_noiseless_packed_is_indicator(self):
         states = np.array([0, 3, 5, 7])
         got = Noiseless().likelihood_packed([1, 0, 1], states, 3)

@@ -384,6 +384,17 @@ class TestRecord:
                 trellis.outcome[1] = 1
         assert t.flags.writeable  # the caller's outcome is copied, not frozen
 
+    def test_complete_state_and_edge_arrays_are_read_only(self, toy_matrix):
+        # the engine caches a complete trellis's forward pass on these arrays
+        for matrix in (toy_matrix, bernoulli_matrix(12, 48, 0.15, 0)):
+            trellis = build_complete(matrix)
+            arrays = [*trellis.states, *(arr for sec in trellis.sections for arr in sec)]
+            assert not any(arr.flags.writeable for arr in arrays)
+            for arr in (trellis.states[-1], *trellis.sections[-1]):
+                if arr.size:
+                    with pytest.raises(ValueError, match="read-only"):
+                        arr[0] = arr[0]
+
     def test_column_masks_are_read_only_and_shared(self, toy_matrix):
         t = T_101
         complete, expurgated = build_complete(toy_matrix), expurgate(toy_matrix, t)

@@ -293,8 +293,6 @@ def posterior_table(trellis: Trellis, prior: Prior, noise, outcomes) -> np.ndarr
     rows = np.asarray(outcomes)
     if rows.ndim != 2 or rows.shape[1] != trellis.m:
         raise ValueError(f"expected a (K, {trellis.m}) outcome array, got shape {rows.shape}")
-    if rows.shape[0] == 0:
-        return np.zeros((0, trellis.n))
     rows = as_bit_vector(rows.reshape(-1), None, "outcome array").reshape(rows.shape)
     k = rows.shape[0]
     width = max(8, _BLOCK_BYTES // (8 * max(trellis.state_counts)) // 8 * 8)

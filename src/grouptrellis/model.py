@@ -4,8 +4,11 @@ A population of n elements is screened by m pooled tests.  Pool membership is
 a binary m-by-n matrix: entry (i, l) is 1 when element l contributes to test
 i.  With defectivity vector x, the noiseless outcome of test i is the OR of
 the x bits in its pool (the "syndrome").  The observed outcome comes through
-the binary symmetric channel `Bsc`, flipping each test's bit independently;
-`Noiseless`, where it equals the syndrome, is the same code at epsilon = 0.
+the binary symmetric channel `Bsc`, flipping each test's bit independently,
+so Q(t | s) = epsilon**d * (1-epsilon)**(m-d) depends only on the distance d
+between t and s; `Bsc.likelihood_table` gives it for a batch of outcomes
+against packed syndromes.  `Noiseless`, where the outcome equals the
+syndrome, is the same code at epsilon = 0.
 
 Everything in this module is immutable and shared by the trellis, inference,
 oracle, and simulation layers.
@@ -155,18 +158,6 @@ class Bsc:
         if not (0.0 <= self.epsilon < 0.5):
             raise ValueError(f"crossover probability must lie in [0, 0.5), got {self.epsilon}")
 
-    def likelihood(self, t, s):
-        """epsilon**d * (1-epsilon)**(m-d), m the length of t and d its distance to s.
-
-        epsilon = 0 degenerates to the 0/1 indicator of equality.  Raises
-        ValueError where `_weights(m)` does, as the engine's table would.
-        """
-        tv = as_bit_vector(t, None, "observed vector")
-        sv = as_bit_vector(s, tv.size, "syndrome vector")
-        self._weights(tv.size)
-        d = int(np.count_nonzero(tv != sv))
-        return self.epsilon**d * (1.0 - self.epsilon) ** (tv.size - d)
-
     def likelihood_table(self, outcomes, state_indices, m):
         """Q(t_k | s_j): rows follow `state_indices`, columns the (K, m) `outcomes`.
 
@@ -205,12 +196,13 @@ class Bsc:
 class Noiseless:
     """Identity channel: `Bsc`'s own functions at epsilon = 0.
 
-    Not a `Bsc` subclass, so a `Bsc` instance check still tells it apart.
+    It binds `Bsc.likelihood_table`, `Bsc.likelihood_packed` and
+    `Bsc._weights`.  Not a `Bsc` subclass, so a `Bsc` instance check still
+    tells it apart.
     """
 
     epsilon: ClassVar[float] = 0.0
 
-    likelihood = Bsc.likelihood
     likelihood_table = Bsc.likelihood_table
     likelihood_packed = Bsc.likelihood_packed
     _weights = Bsc._weights

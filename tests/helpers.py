@@ -22,6 +22,12 @@ class ScaledBsc(Bsc):
         return self.SCALE * super().likelihood_table(outcomes, state_indices, m)
 
 
+def bsc_likelihood(eps, t, s):
+    """Q(t | s) of a BSC with crossover eps, counting the flipped bits one by one."""
+    flips = sum(int(a) != int(b) for a, b in zip(t, s))
+    return eps**flips * (1.0 - eps) ** (len(t) - flips)
+
+
 def naive_syndrome(entries, x):
     """OR-channel outcome via explicit double loop; no vector tricks."""
     m, n = entries.shape

@@ -19,7 +19,7 @@ from grouptrellis import (
 )
 from grouptrellis.model import _pack_rows
 from conftest import TOY_ENTRIES
-from helpers import all_vectors, naive_syndrome
+from helpers import all_vectors, bsc_likelihood, naive_syndrome
 
 
 @st.composite
@@ -152,31 +152,29 @@ class TestPacking:
 
 class TestBscLikelihood:
     def test_hand_value(self):
-        # one disagreement out of three bits
-        assert Bsc(0.05).likelihood([1, 0, 1], [1, 1, 1]) == pytest.approx(
-            0.05 * 0.95**2, rel=1e-15
-        )
+        # one disagreement out of three bits: outcome 101 against syndrome 111
+        table = Bsc(0.05).likelihood_table(np.array([[1, 0, 1]], np.uint8), [0b111], 3)
+        assert table[0, 0] == pytest.approx(0.05 * 0.95**2, rel=1e-15)
 
     def test_epsilon_zero_is_indicator(self):
-        assert Bsc(0.0).likelihood([1, 0], [1, 0]) == 1.0
-        assert Bsc(0.0).likelihood([1, 0], [1, 1]) == 0.0
+        # outcome 10 against syndromes 10 and 11
+        table = Bsc(0.0).likelihood_table(np.array([[1, 0]], np.uint8), [0b01, 0b11], 2)
+        assert table[:, 0].tolist() == [1.0, 0.0]
 
     @given(st.integers(1, 6), st.floats(0.0, 0.49), st.data())
     @settings(max_examples=50)
     def test_normalized_over_outcomes(self, m, eps, data):
-        s = np.array(data.draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)), np.uint8)
+        s = data.draw(st.integers(0, (1 << m) - 1))
         try:
-            Bsc(eps).likelihood_table(s[None, :], [0], m)
-        except ValueError:  # the scalar refuses exactly the crossovers the table refuses
-            with pytest.raises(ValueError, match="underflows"):
-                Bsc(eps).likelihood(s, s)
+            table = Bsc(eps).likelihood_table(np.array(all_vectors(m)), [s], m)
+        except ValueError as exc:  # eps**m below the smallest normal float
+            assert "underflows" in str(exc)
             return
-        total = sum(Bsc(eps).likelihood(t, s) for t in all_vectors(m))
-        assert total == pytest.approx(1.0, rel=1e-12)
+        assert table.sum() == pytest.approx(1.0, rel=1e-12)
 
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ValueError):
-            Bsc(0.5).likelihood([1], [1])
+            Bsc(0.5)
         with pytest.raises(ValueError):
             Bsc(-0.01)
 
@@ -204,15 +202,6 @@ class TestBscUnderflowFloor:
         with pytest.raises(ValueError, match=f"crossover probability {below!r} underflows on 16"):
             Bsc(below).likelihood_table(self.ZERO, self.STATES, self.M)
 
-    def test_scalar_refuses_what_the_table_refuses(self):
-        tiny = np.finfo(float).smallest_normal
-        edge = float(tiny ** (1 / self.M))
-        above, below = edge * (1 + 1e-9), edge * (1 - 1e-9)
-        ones = np.ones(self.M, np.uint8)
-        assert Bsc(above).likelihood(self.ZERO[0], ones) >= tiny
-        with pytest.raises(ValueError, match=f"crossover probability {below!r} underflows on 16"):
-            Bsc(below).likelihood(self.ZERO[0], self.ZERO[0])
-
     def test_epsilon_zero_keeps_its_exact_zeros(self):
         table = Bsc(0.0).likelihood_table(self.ZERO, self.STATES, self.M)
         assert table[:, 0].tolist() == [1.0] + [0.0] * self.M
@@ -223,7 +212,7 @@ class TestNoiseModels:
         # one channel implementation: every method Noiseless has is Bsc's own
         methods = {k: v for k, v in vars(Noiseless).items() if inspect.isfunction(v)}
         named = {k for k in methods if not k.startswith("__")}
-        assert named == {"likelihood", "likelihood_table", "likelihood_packed", "_weights"}
+        assert named == {"likelihood_table", "likelihood_packed", "_weights"}
         assert all(methods[k] is vars(Bsc)[k] for k in named)
         assert Noiseless().epsilon == 0.0 and dataclasses.fields(Noiseless) == ()
         # not a subclass: code that draws flips for a Bsc instance draws none here
@@ -239,7 +228,7 @@ class TestNoiseModels:
         noise = Bsc(0.2)
         t = np.array([1, 1, 0], np.uint8)
         got = noise.likelihood_packed(t, states, 3)
-        want = [noise.likelihood(t, index_to_bits(s, 3)) for s in states]
+        want = [bsc_likelihood(noise.epsilon, t, index_to_bits(s, 3)) for s in states]
         assert np.allclose(got, want, rtol=1e-15)
 
     def test_likelihood_table_matches_columns(self):
@@ -254,5 +243,5 @@ class TestNoiseModels:
                 assert table.shape == (states.size, len(outcomes))
                 for j, s in enumerate(states):
                     for k, t in enumerate(outcomes):
-                        want = noise.likelihood(t, index_to_bits(s, m))
+                        want = bsc_likelihood(noise.epsilon, t, index_to_bits(s, m))
                         assert table[j, k] == pytest.approx(want, rel=1e-15)

@@ -20,7 +20,12 @@ from grouptrellis import (
     hypergraph_incidence,
     run,
 )
-from helpers import compatible_vectors, naive_posterior_masses, subset_lattice_posteriors
+from helpers import (
+    bsc_likelihood,
+    compatible_vectors,
+    naive_posterior_masses,
+    subset_lattice_posteriors,
+)
 
 T_101 = np.array([1, 0, 1], dtype=np.uint8)
 PRIOR = Prior(0.1)
@@ -65,10 +70,7 @@ class TestAgainstNaiveEnumeration:
             matrix = TestMatrix((rng.random((m, n)) < 0.5).astype(np.uint8))
             t = (rng.random(m) < 0.5).astype(np.uint8)
             noise = Bsc(eps) if eps else Noiseless()
-            if eps == 0.0:
-                want_q = lambda tv, sv: 1.0 if np.array_equal(tv, sv) else 0.0
-            else:
-                want_q = lambda tv, sv: Bsc(eps).likelihood(tv, sv)
+            want_q = lambda tv, sv: bsc_likelihood(eps, tv, sv)  # the indicator at eps = 0
             want0, want1 = naive_posterior_masses(matrix.entries, t, PRIOR.delta, want_q)
             if not (want0 + want1).any():
                 continue  # unreachable noiseless outcome: oracle has nothing to normalise
@@ -105,7 +107,8 @@ class TestGuards:
         # (1, 0) and (0, 1) would share one key
         matrix = TestMatrix(_edge_tests(63))
         t = compute_syndrome(matrix, [1, 0])
-        want0, want1 = naive_posterior_masses(matrix.entries, t, PRIOR.delta, noise.likelihood)
+        q = lambda tv, sv: bsc_likelihood(noise.epsilon, tv, sv)
+        want0, want1 = naive_posterior_masses(matrix.entries, t, PRIOR.delta, q)
         result = enumerate_posteriors(matrix, t, PRIOR, noise)
         assert np.allclose(result.mass0, want0, rtol=1e-12, atol=0)
         assert np.allclose(result.mass1, want1, rtol=1e-12, atol=0)
@@ -120,22 +123,47 @@ class TestGuards:
         message = "crossover probability 1e-200 underflows on 3 tests"
         for refuse in (
             lambda: enumerate_posteriors(matrix, t, PRIOR, noise),
-            lambda: noise.likelihood(t, [1, 0, 1]),
             lambda: run(build_complete(matrix), PRIOR, noise, t),
         ):
             with pytest.raises(ValueError, match=message):
                 refuse()
 
-    def test_bsc_masses_keep_their_bits(self, toy_matrix):
-        result = enumerate_posteriors(toy_matrix, [1, 1, 0], PRIOR, Bsc(0.05))
-        assert [v.hex() for v in result.mass0.tolist()] == [
-            "0x1.37b5a0f2649d4p-4", "0x1.c3434989697e8p-7", "0x1.37b5a0f2649d2p-4",
-            "0x1.fe935dfc70ba9p-5", "0x1.fe935dfc70baep-5", "0x1.3aadd61a310c6p-4",
-        ]  # fmt: skip
-        assert [v.hex() for v in result.mass1.tolist()] == [
-            "0x1.6df5a6e0a9f95p-10", "0x1.05050e5cba157p-4", "0x1.6df5a6e0a9f96p-10",
-            "0x1.f11e447d773dep-7", "0x1.f11e447d773d9p-7", "0x1.5fd0b9db1c5fdp-11",
-        ]  # fmt: skip
+    @pytest.mark.parametrize(
+        "noise, want0, want1",
+        [
+            (Bsc(0.05), [
+                "0x1.37b5a0f2649d4p-4", "0x1.c3434989697e8p-7", "0x1.37b5a0f2649d2p-4",
+                "0x1.fe935dfc70ba9p-5", "0x1.fe935dfc70baep-5", "0x1.3aadd61a310c6p-4",
+            ], [
+                "0x1.6df5a6e0a9f95p-10", "0x1.05050e5cba157p-4", "0x1.6df5a6e0a9f96p-10",
+                "0x1.f11e447d773dep-7", "0x1.f11e447d773d9p-7", "0x1.5fd0b9db1c5fdp-11",
+            ]),
+            (Noiseless(), [
+                "0x1.4578e5c4eb571p-4", "0x1.adfb506dd69d3p-8", "0x1.4578e5c4eb571p-4",
+                "0x1.0cbd1244a6225p-4", "0x1.0cbd1244a6225p-4", "0x1.4578e5c4eb570p-4",
+            ], [
+                "0x0.0p+0", "0x1.2a9930be0ded3p-4", "0x0.0p+0",
+                "0x1.c5de9c0229a5fp-7", "0x1.c5de9c0229a5fp-7", "0x0.0p+0",
+            ]),
+        ],
+        ids=["bsc", "noiseless"],
+    )  # fmt: skip
+    def test_bsc_masses_keep_their_bits(self, toy_matrix, noise, want0, want1):
+        result = enumerate_posteriors(toy_matrix, [1, 1, 0], PRIOR, noise)
+        assert [v.hex() for v in result.mass0.tolist()] == want0
+        assert [v.hex() for v in result.mass1.tolist()] == want1
+
+    def test_channel_needs_only_epsilon_and_weights(self, toy_matrix):
+        # the oracle forms its likelihoods itself: a channel without the
+        # engine's table code gives Bsc's masses bit for bit
+        class EpsilonOnly:
+            epsilon = 0.05
+            _weights = Bsc._weights
+
+        want = enumerate_posteriors(toy_matrix, [1, 1, 0], PRIOR, Bsc(0.05))
+        result = enumerate_posteriors(toy_matrix, [1, 1, 0], PRIOR, EpsilonOnly())
+        assert result.mass0.tobytes() == want.mass0.tobytes()
+        assert result.mass1.tobytes() == want.mass1.tobytes()
 
     def test_test_count_guard_comes_before_enumeration(self):
         # a first chunk of 2**16 vectors would hold a 105 MB syndrome product
@@ -189,11 +217,7 @@ class TestSubsetLatticeOracle:
             m, n = int(rng.integers(1, 5)), int(rng.integers(1, 8))
             entries = (rng.random((m, n)) < 0.5).astype(np.uint8)
             t = (rng.random(m) < 0.5).astype(np.uint8)
-
-            def q(tv, sv):
-                flips = int((tv != sv).sum())
-                return eps**flips * (1.0 - eps) ** (m - flips)
-
+            q = lambda tv, sv: bsc_likelihood(eps, tv, sv)
             mass0, mass1 = naive_posterior_masses(entries, t, PRIOR.delta, q)
             if not (mass0 + mass1).any():
                 with pytest.raises(ValueError):

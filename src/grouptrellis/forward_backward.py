@@ -19,36 +19,29 @@ like delta^k (1-delta)^(n-k)), both passes renormalise each depth to sum to
 one and accumulate the log of the discarded scale factors; all reported
 quantities fold the accumulated logs back in.
 
-The forward pass does not depend on the outcome, so for a complete trellis
-it is computed once per (trellis, prior) and cached with the trellis (for
-its latest prior, so the cache never outgrows the trellis); it is internal,
-and no result carries it.  A label whose edges leave every left state has
-the trellis's shared ramp as its source, so the forward pass scatters alpha
-itself rather than a gathered copy.  The backward pass is
-batched: `posterior_table` stacks outcome vectors as columns of the final beta
-matrix, one fixed-width column block at a time, and the pass streams from
-the last depth to the first holding one beta at a time, forming the label
-sums U0/U1 from the same gathers.  No per-depth beta is kept and no block
-is wider than `_BLOCK_BYTES` allows, so memory is O(max states x block) for
-the pass plus O(K x n) for the lapp table, which is what makes large Monte
-Carlo sweeps cheap.  `run` is the same pass with a single column.
+The forward pass does not depend on the outcome, so a trellis from
+`build_complete` keeps it in its engine state, for the latest prior used on
+it; it is internal, and no result carries it.  A label whose edges leave
+every left state has the trellis's shared ramp as its source, so the forward
+pass scatters alpha itself rather than a gathered copy.  The backward pass
+is batched: `posterior_table` stacks outcome vectors as columns of the final
+beta matrix, one fixed-width column block at a time, and the pass streams
+from the last depth to the first holding one beta at a time, forming the
+label sums U0/U1 from the same gathers.  No per-depth beta is kept and no
+block is wider than `_BLOCK_BYTES` allows, so memory is O(max states x
+block) for the pass plus O(K x n) for the lapp table, which is what makes
+large Monte Carlo sweeps cheap.  `run` is the same pass with one column.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import weakref
 
 import numpy as np
 
 from .model import NotASyndromeError, Prior, as_bit_vector
 from .trellis import Trellis
-
-#: Complete trellis -> (prevalence, forward pass) of its latest use.  One entry
-#: per trellis bounds the cache by the trellis's own state count, and an entry
-#: goes away with its trellis.
-_ALPHA_CACHE = weakref.WeakKeyDictionary()
 
 #: Bytes of one backward-pass work array in `posterior_table`, which sets
 #: its column block width.
@@ -83,17 +76,18 @@ def _edge_weights(prior):
 def _forward(trellis, prior):
     """Scaled forward metrics per depth and cumulative log scales.
 
-    The result depends only on the trellis and the prevalence, so it is
-    cached per complete trellis for the latest `prior.delta` and dropped with
-    the trellis; its arrays are read-only because every call on the trellis
-    shares them.  True forward metrics are alpha[l] * exp(log_scale[l]).  A
-    label's source as wide as the left depth is a view of the trellis's
+    The result depends only on the trellis and the prevalence, so a record
+    `build_complete` returned keeps it in its engine state for the latest
+    `prior.delta`, read-only because every call on the trellis shares it; a
+    pruned record, or one made by `dataclasses.replace`, has no engine state
+    and runs afresh.  True forward metrics are alpha[l] * exp(log_scale[l]).
+    A label's source as wide as the left depth is a view of the trellis's
     shared ramp, the identity, so `cur[src]` would only copy `cur`: the
     label scatters `cur` itself, the same values.  An in-place 0-label
-    (`zero_dst is zero_src`) adds up to `g0 * cur`, so it skips the bincount.
+    (`zero_dst is zero_src`) adds up to `g0 * cur` and skips the bincount.
     """
-    # two threads missing at once both compute the same arrays; either may stay
-    delta, cached = _ALPHA_CACHE.get(trellis, (None, None))
+    state = trellis._engine_state
+    sections, (delta, cached) = state or (trellis.sections, (None, None))
     if delta == prior.delta:
         return cached
     g0, g1 = _edge_weights(prior)
@@ -102,7 +96,6 @@ def _forward(trellis, prior):
     cur = np.ones(1)
     alpha = [cur]
     log_scale = [0.0]
-    sections = trellis._edges or trellis.sections
     for (zero_src, zero_dst, one_src, one_dst), right in zip(sections, trellis.states[1:]):
         size = right.size
         if zero_dst is zero_src:  # the 0-edges keep every state in place
@@ -120,10 +113,11 @@ def _forward(trellis, prior):
         log_scale.append(log_scale[-1] + log(c))
         cur = nxt
     cached = (tuple(alpha), np.array(log_scale))
-    if trellis.outcome is None:
+    if state:
         for arr in (*cached[0], cached[1]):
             arr.setflags(False)  # write=False, by position: a keyword doubles the call's cost
-        _ALPHA_CACHE[trellis] = (prior.delta, cached)
+        # one store, so threads read whole pairs; two missing at once compute the same
+        state[1] = (prior.delta, cached)
     return cached
 
 
@@ -204,7 +198,7 @@ def _engine(trellis, prior, beta_final, first_row=0):
     # numpy's general broadcasting loop, a 0-d one its fast loop
     divisor = (0, ...) if k == 1 else ...
     # depth by depth from the last: the section, alpha and the rows written
-    sections = trellis._edges or trellis.sections
+    sections = trellis._engine_state[0] if trellis._engine_state else trellis.sections
     depths = zip(reversed(sections), alpha[:n][::-1], z0[::-1], z1[::-1], scale[:n][::-1])
     for (zero_src, zero_dst, one_src, one_dst), a, z0_row, z1_row, scale_row in depths:
         bo = gather1[: a.size]
@@ -294,6 +288,7 @@ def posterior_table(trellis: Trellis, prior: Prior, noise, outcomes) -> np.ndarr
     if rows.ndim != 2 or rows.shape[1] != trellis.m:
         raise ValueError(f"expected a (K, {trellis.m}) outcome array, got shape {rows.shape}")
     rows = as_bit_vector(rows.reshape(-1), None, "outcome array").reshape(rows.shape)
+    noise._weights(trellis.m)  # raises for an underflowing crossover, also on no rows
     k = rows.shape[0]
     width = max(8, _BLOCK_BYTES // (8 * max(trellis.state_counts)) // 8 * 8)
     out = np.empty((k, trellis.n))

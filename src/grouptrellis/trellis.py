@@ -96,8 +96,9 @@ class Trellis:
     unrolls, one per section; it is all True except in a reduced trellis,
     whose dropped elements sit in silent tests.  These arrays and
     `column_masks`, one packed pool column per section, are read-only, as
-    are a complete trellis's state and edge arrays (the engine caches its
-    forward pass).
+    are the state and edge arrays of a record `build_complete` returns, the
+    only kind that keeps a forward pass.  A pruned record, or one made by
+    `dataclasses.replace`, runs afresh from its `sections`.
     """
 
     m: int
@@ -106,9 +107,10 @@ class Trellis:
     sections: tuple
     outcome: np.ndarray | None
     kept: np.ndarray
-    #: The engine's writeable owners of a complete trellis's read-only edge views
-    #: (numpy's take copies a read-only index array on every call); else empty.
-    _edges: tuple = dataclasses.field(default=(), init=False, repr=False)
+    #: `[owners, (prevalence, forward pass)]` for a record `build_complete`
+    #: returned, else empty: the writeable owners of its read-only edge views
+    #: (numpy's take copies a read-only index on every call) and its latest pass.
+    _engine_state: list | tuple = dataclasses.field(default=(), init=False, repr=False)
 
     @property
     def n(self):
@@ -172,7 +174,9 @@ def _build(m, masks, kept, outcome=None, final=None):
     object is its destinations too.  The table plus the root, then each
     depth's 32 B per kept state, are charged against MAX_TRELLIS_BYTES, and
     SizeLimitError comes before the array past it exists.  NotASyndromeError,
-    naming the outcome bits, means the root cannot reach `final`.
+    naming the outcome bits, means the root cannot reach `final`.  Only a
+    complete trellis gets an engine state: its writeable edge arrays, which
+    its sections show as read-only views, and a forward-pass entry to fill.
     """
     charged = (_TABLE_BYTES << m) + _STATE_BYTES
     if charged > MAX_TRELLIS_BYTES:
@@ -243,7 +247,7 @@ def _build(m, masks, kept, outcome=None, final=None):
     trellis = Trellis(m, masks, tuple(states), tuple(sections), outcome, kept)
     if final is None:  # the engine caches a complete trellis's forward pass
         views = tuple(EdgeSection._make(map(_read_only_view, sec)) for sec in sections)
-        object.__setattr__(trellis, "_edges", trellis.sections)
+        object.__setattr__(trellis, "_engine_state", [trellis.sections, (None, None)])
         object.__setattr__(trellis, "sections", views)
     return trellis
 

@@ -231,7 +231,8 @@ class TestAlphaCache:
         with pytest.raises(ValueError):
             a_log[0] = 1.0
         second = run(trellis, PRIOR, Bsc(0.05), T_101)
-        assert forward_backward._ALPHA_CACHE[trellis][1][0] is alpha
+        delta, (cached_alpha, cached_log) = trellis._engine_state[1]
+        assert delta == PRIOR.delta and cached_alpha is alpha and cached_log is a_log
         assert forward_backward._forward(trellis, PRIOR)[0] is alpha
         assert np.array_equal(second.lapp, first.lapp)
         assert second.log_evidence == first.log_evidence
@@ -256,15 +257,15 @@ class TestAlphaCache:
         assert np.array_equal(again.lapp, low.lapp)
 
     def test_no_pruned_trellis_enters_the_cache(self):
+        # a pruned record has no engine state, so no run leaves a pass on it
         matrix, t = _design("hypergraph")
-        gc.collect()
-        before = len(forward_backward._ALPHA_CACHE)
-        pruned = [expurgate(matrix, t), build_reduced(matrix, t)]
-        for trellis in pruned:
+        for trellis in (expurgate(matrix, t), build_reduced(matrix, t)):
             run(trellis, PRIOR, Noiseless(), t)
             run(trellis, PRIOR, Bsc(0.0), t)
-        assert not any(trellis in forward_backward._ALPHA_CACHE for trellis in pruned)
-        assert len(forward_backward._ALPHA_CACHE) == before
+            assert trellis._engine_state == ()
+            first = forward_backward._forward(trellis, PRIOR)
+            assert forward_backward._forward(trellis, PRIOR)[0] is not first[0]
+            assert all(arr.flags.writeable for arr in first[0])
 
     @pytest.mark.parametrize("build", [expurgate, build_reduced], ids=["expurgated", "reduced"])
     def test_rewritten_pruned_trellis_gives_the_fresh_pass(self, build):
@@ -297,17 +298,30 @@ class TestAlphaCache:
         assert got.tobytes() != run(trellis, PRIOR, Bsc(0.05), T_101).lapp.tobytes()
 
     def test_dropped_trellis_leaves_the_cache(self, toy_matrix):
-        gc.collect()
-        before = len(forward_backward._ALPHA_CACHE)
         trellis = build_complete(toy_matrix)
         run(trellis, PRIOR, Noiseless(), T_101)
         alpha = weakref.ref(forward_backward._forward(trellis, PRIOR)[0][1])
-        assert trellis in forward_backward._ALPHA_CACHE
-        assert len(forward_backward._ALPHA_CACHE) == before + 1
+        assert trellis._engine_state[1][1][0][1] is alpha()
         del trellis
         gc.collect()
-        assert len(forward_backward._ALPHA_CACHE) == before
         assert alpha() is None
+
+    def test_replaced_record_keeps_no_pass(self):
+        # a record made by dataclasses.replace from a complete one has no
+        # engine state: after a write into its own arrays, a run must not
+        # read a forward pass of the arrays as they were before it
+        matrix, t = _design("hypergraph")
+        replaced = _copied_sections(build_complete(matrix))
+        first = run(replaced, PRIOR, Bsc(0.05), t)
+        assert replaced._engine_state == ()
+        dst = next(sec.zero_dst for sec in replaced.sections if np.unique(sec.zero_dst).size > 1)
+        dst[:] = dst[::-1].copy()
+        again = run(replaced, PRIOR, Bsc(0.05), t)
+        fresh = run(dataclasses.replace(replaced), PRIOR, Bsc(0.05), t)
+        assert again.lapp.tobytes() != first.lapp.tobytes()  # the write reaches the pass
+        assert again.lapp.tobytes() == fresh.lapp.tobytes()
+        assert again.log_evidence == fresh.log_evidence
+        assert again.section_log_evidence.tobytes() == fresh.section_log_evidence.tobytes()
 
 
     def test_threads_alternating_priors_on_one_trellis(self):
@@ -355,6 +369,28 @@ class TestStreamingBackward:
                 assert np.allclose(section, single.log_evidence, rtol=1e-12, atol=0)
                 alone = posterior_table(trellis, PRIOR, noise, t[None])[0]
                 assert np.array_equal(alone, single.lapp)
+
+    @pytest.mark.parametrize("shape", [(12, 48, 0.15), (16, 64, 0.1)], ids=["12x48", "16x64"])
+    def test_engine_gathers_through_writeable_index_arrays(self, monkeypatch, shape):
+        # numpy's take copies a read-only index array on every call, so on a
+        # complete trellis the engine reads the writeable owners behind the
+        # read-only views its sections show
+        matrix = bernoulli_matrix(*shape, 0)
+        trellis = build_complete(matrix)
+        gather, writeable = forward_backward._gather, []
+
+        def spy(out, b, src, dst):
+            writeable.append(dst.flags.writeable)
+            gather(out, b, src, dst)
+
+        monkeypatch.setattr(forward_backward, "_gather", spy)
+        assert not any(sec.zero_dst.flags.writeable for sec in trellis.sections)
+        rng = np.random.default_rng(0)
+        rows = (rng.random((20, matrix.m)) < 0.3).astype(np.uint8)
+        run(trellis, PRIOR, Bsc(0.05), rows[0])
+        posterior_table(trellis, PRIOR, Bsc(0.05), rows)
+        assert len(writeable) > 2 * matrix.n
+        assert all(writeable)
 
     def test_run_holds_one_beta_at_a_time(self):
         matrix = bernoulli_matrix(10, 40, 0.15, 0)
@@ -725,6 +761,15 @@ class TestPosteriorTable:
         trellis = build_complete(toy_matrix)
         table = posterior_table(trellis, PRIOR, Noiseless(), np.zeros((0, 3), np.uint8))
         assert table.shape == (0, 6)
+
+    def test_empty_batch_refuses_an_underflowing_crossover(self, toy_matrix):
+        # the crossover is checked before any block, as `run` checks it
+        trellis = build_complete(toy_matrix)
+        want = "crossover probability 1e-200 underflows on 3 tests"
+        with pytest.raises(ValueError, match=want):
+            run(trellis, PRIOR, Bsc(1e-200), T_101)
+        with pytest.raises(ValueError, match=want):
+            posterior_table(trellis, PRIOR, Bsc(1e-200), np.zeros((0, 3), np.uint8))
 
 
 class TestZeroForced:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import MatrixFormatError, SizeLimitError, TestMatrix
+from .model import MatrixFormatError, SizeLimitError, TestMatrix, _unpack_rows
 
 _GF64_PRIMITIVE = 0b1000011  # x**6 + x + 1, primitive over GF(2)
 
@@ -67,14 +67,12 @@ def ebch_64_57_parity_check() -> TestMatrix:
     enforces the even-overall-weight extension.  Every row has Hamming weight
     32 and the seven rows are linearly independent over GF(2).
     """
+    powers = [1]  # alpha**j packed, bit i the coefficient of x**i
+    for _ in range(62):
+        a = powers[-1] << 1
+        powers.append(a ^ _GF64_PRIMITIVE if a & 0b1000000 else a)
     h = np.zeros((7, 64), dtype=np.uint8)
-    a = 1
-    for j in range(63):
-        for i in range(6):
-            h[i, j] = (a >> i) & 1
-        a <<= 1
-        if a & 0b1000000:
-            a ^= _GF64_PRIMITIVE
+    h[:6, :63] = _unpack_rows(np.array(powers, dtype=np.int64), 6).T
     h[6, :] = 1 - h[0, :]
     return TestMatrix(h)
 

@@ -119,13 +119,13 @@ def bits_to_index(bits):
 
 
 def index_to_bits(index, m):
-    """Inverse of bits_to_index: unpack `index` into an m-entry 0/1 vector."""
+    """Inverse of bits_to_index: `_unpack_rows` of one index, checked, as an m-entry vector."""
     if m < 0 or m > 63:
         raise SizeLimitError(f"bit count must lie in [0, 63], got {m}")
     index = int(index)
     if index < 0 or index >> m:
         raise ValueError(f"index {index} does not fit in {m} bits")
-    return ((index >> np.arange(m, dtype=np.int64)) & 1).astype(np.uint8)
+    return _unpack_rows(np.array([index], dtype=np.int64), m)[0]
 
 
 def _pack_rows(rows, m):
@@ -137,6 +137,11 @@ def _pack_rows(rows, m):
         raise SizeLimitError(f"cannot pack {m} bits into int64 indices")
     weights = (np.int64(1) << np.arange(m, dtype=np.int64))
     return arr.astype(np.int64) @ weights
+
+
+def _unpack_rows(indices, m):
+    """Inverse of `_pack_rows`: the (K, m) uint8 rows of K int64 indices, entry i from 2**i."""
+    return ((indices[:, None] >> np.arange(m, dtype=np.int64)) & 1).astype(np.uint8)
 
 
 def _sorted_unique(values):

@@ -13,8 +13,8 @@ the truth.  Three facts keep this fast:
   one forward pass;
 * a decision at threshold k only asks whether k reaches the first threshold
   that flags the element, so each lapp value is turned into that index once
-  (two searchsorted calls) and a chunk counts a whole threshold grid with
-  one bincount and a cumulative sum.
+  (two searchsorted calls), a chunk bincounts those indices, and the sweep
+  reads every threshold's counts off the chunks' summed histogram once.
 
 Reproducibility: trials are partitioned into fixed-size chunks and chunk c
 uses a counter-based generator advanced to a lane derived from c alone.
@@ -22,7 +22,7 @@ With `workers` threads (capped at the CPU count), chunks run in rounds of
 one chunk per thread: sample the round's chunks, form their batches in
 chunk order, run the batches, then count the chunks.  The batches, and
 with them the engine's lapp bits, follow chunk order alone, and integer
-event counts add up in any order, so estimates depend on (trials, seed) and
+histograms add up in any order, so estimates depend on (trials, seed) and
 on the BLAS thread count, but not on the worker count or on thread timing.
 
 Reported rates are per-element averages: p_fa = Pr{flagged | clear} and
@@ -48,7 +48,7 @@ import numpy as np
 
 from .decision import _threshold_index
 from .forward_backward import posterior_table
-from .model import Bsc, Noiseless, Prior, TestMatrix, _pack_rows, _sorted_unique
+from .model import Bsc, Noiseless, Prior, TestMatrix, _pack_rows, _sorted_unique, _unpack_rows
 from .trellis import build_complete
 
 #: Trials per RNG chunk; fixed so estimates never depend on scheduling.
@@ -170,22 +170,25 @@ def _sample_chunk(matrix, prior, noise, seed, chunk_index, trials):
     return x, packed
 
 
-def _unpack(keys, m):
-    """Outcome rows (uint8, one per key) of packed outcomes, bit i from 2**i."""
-    return ((keys[:, None] >> np.arange(m)) & 1).astype(np.uint8)
-
-
 def _count_events(index, x, size):
-    """(fa_events, md_events, fa_trials, md_trials) of one chunk for every threshold at once.
+    """One chunk's (2, size + 1) histogram of `index`, clear elements in row 0.
 
     `index` holds each trial element's first flagging threshold out of
-    `size`: an element is flagged at threshold k when its index is at most k.
-    Its integer type must hold 2 * size + 1.
+    `size`: an element is flagged at threshold k when its index is at most k,
+    and never when it is `size`.  Its integer type must hold 2 * size + 1.
     """
     codes = index + index.dtype.type(size + 1) * x  # defective elements count from size + 1
-    hist = np.bincount(codes.ravel(), minlength=2 * (size + 1))
-    clear, defective = hist.reshape(2, size + 1).cumsum(axis=1)
-    return clear[:size], defective[-1] - defective[:size], int(clear[-1]), int(defective[-1])
+    return np.bincount(codes.ravel(), minlength=2 * (size + 1)).reshape(2, size + 1)
+
+
+def _operating_points(hist, lam, tie_defective):
+    """The operating point at each threshold of `lam` from a sweep's summed histogram."""
+    clear, defective = hist.cumsum(axis=1).tolist()  # elements flagged at each threshold
+    fa_trials, md_trials = clear[-1], defective[-1]
+    return tuple(
+        OperatingPoint(float(threshold), tie_defective, fa, fa_trials, md_trials - hit, md_trials)
+        for threshold, fa, hit in zip(lam, clear, defective)
+    )
 
 
 def sweep_roc(
@@ -238,10 +241,7 @@ def sweep_roc(
     index_type = np.min_scalar_type(2 * lam.size + 1)  # the least type _count_events can use
     keys = np.zeros(0, dtype=np.int64)  # sorted packed outcomes drawn so far
     table = np.zeros((0, matrix.n), dtype=index_type)  # their threshold index rows
-    fa_events = np.zeros(lam.size, dtype=np.int64)
-    md_events = np.zeros(lam.size, dtype=np.int64)
-    fa_trials = 0
-    md_trials = 0
+    hist = np.zeros((2, lam.size + 1), dtype=np.int64)  # the chunks' summed histograms
 
     def sample(index):
         size = min(CHUNK_TRIALS, trials - index * CHUNK_TRIALS)
@@ -268,28 +268,13 @@ def sweep_roc(
                 fresh = uniq[~np.isin(uniq, seen)]
                 if fresh.size:
                     seen = np.concatenate([seen, fresh])
-                    batches.append(_unpack(fresh, matrix.m))
+                    batches.append(_unpack_rows(fresh, matrix.m))
             order = np.argsort(seen)
             table = np.concatenate([table, *pmap(engine, batches)])[order]
             keys = seen[order]
-            for fa, md, n_fa, n_md in pmap(count, chunks):
-                fa_events += fa
-                md_events += md
-                fa_trials += n_fa
-                md_trials += n_md
-    points = tuple(
-        OperatingPoint(
-            threshold=float(lam[k]),
-            tie_defective=tie_defective,
-            fa_events=int(fa_events[k]),
-            fa_trials=fa_trials,
-            md_events=int(md_events[k]),
-            md_trials=md_trials,
-        )
-        for k in range(lam.size)
-    )
+            hist = sum(pmap(count, chunks), hist)
     return RocCurve(
-        points=points,
+        points=_operating_points(hist, lam, tie_defective),
         matrix_label=matrix_label,
         delta=prior.delta,
         noise_label=noise_label(noise),

@@ -13,7 +13,7 @@ import dataclasses
 
 import numpy as np
 
-from .model import Prior, SizeLimitError, TestMatrix, _pack_rows, as_bit_vector
+from .model import Prior, SizeLimitError, TestMatrix, _pack_rows, _unpack_rows, as_bit_vector
 
 #: Enumeration visits 2**n vectors, so populations are guarded to this size.
 MAX_ELEMENTS = 24
@@ -60,14 +60,12 @@ def enumerate_posteriors(matrix: TestMatrix, t, prior: Prior, noise) -> OracleRe
     # scalar powers: numpy's vectorised ones in `_weights` round some entries differently
     q = np.array([eps**d * (1.0 - eps) ** (m - d) for d in range(m + 1)])
     delta = prior.delta
-    cols = np.arange(n, dtype=np.int64)
     mass0 = np.zeros(n)
     mass1 = np.zeros(n)
     chunk = 1 << 16
     for lo in range(0, 1 << n, chunk):
         hi = min(lo + chunk, 1 << n)
-        codes = np.arange(lo, hi, dtype=np.int64)
-        x = ((codes[:, None] >> cols[None, :]) & 1).astype(np.uint8)
+        x = _unpack_rows(np.arange(lo, hi, dtype=np.int64), n)
         syndromes = (x.astype(np.int64) @ matrix.entries.T.astype(np.int64)) > 0
         weight = x.sum(axis=1)
         q_x = q[np.bitwise_count(_pack_rows(syndromes, m) ^ target)]

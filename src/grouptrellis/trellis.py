@@ -112,6 +112,19 @@ class Trellis:
     #: (numpy's take copies a read-only index on every call) and its latest pass.
     _engine_state: list | tuple = dataclasses.field(default=(), init=False, repr=False)
 
+    def __reduce_ex__(self, protocol):
+        """Pickle or deep-copy a `build_complete` record as a rebuild, whose sections are
+        again read-only views of the arrays its engine reads; any other field by field."""
+        if self._engine_state:
+            return _build, (self.m, self.column_masks, self.kept)
+        return super().__reduce_ex__(protocol)
+
+    def __copy__(self):
+        """A record sharing every field, the engine state too, so it rebuilds nothing."""
+        twin = object.__new__(type(self))
+        twin.__dict__.update(vars(self))
+        return twin
+
     @property
     def n(self):
         """Number of element steps (sections)."""

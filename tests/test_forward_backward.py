@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import gc
 import math
+import pickle
 import sys
 import tracemalloc
 import weakref
@@ -340,6 +342,47 @@ class TestAlphaCache:
             sys.setswitchinterval(interval)
         for i, lapp in enumerate(lapps):
             assert np.array_equal(lapp, want[i % 2])
+
+
+class TestCopies:
+    """Copies and pickles of a complete record run the arrays their sections show."""
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))],
+                             ids=["deepcopy", "pickle"])
+    def test_complete_record_is_rebuilt(self, clone):
+        matrix, t = _design("hypergraph")
+        trellis = build_complete(matrix)
+        want = run(trellis, PRIOR, Bsc(0.05), t)
+        twin = clone(trellis)
+        got = run(twin, PRIOR, Bsc(0.05), t)
+        assert got.lapp.tobytes() == want.lapp.tobytes()
+        assert got.log_evidence == want.log_evidence
+        for shown, engine in zip(twin.sections, twin._engine_state[0]):
+            for view, arr in zip(shown, engine):
+                assert not view.flags.writeable and np.shares_memory(view, arr)
+        with pytest.raises(ValueError, match="read-only"):
+            twin.sections[5].one_dst[0] = 0
+        assert [s.tobytes() for s in twin.states] == [s.tobytes() for s in trellis.states]
+
+    def test_shallow_copy_shares_every_field(self):
+        trellis = build_complete(_design("hypergraph")[0])
+        twin = copy.copy(trellis)
+        assert twin is not trellis and vars(twin).keys() == vars(trellis).keys()
+        assert all(vars(twin)[k] is v for k, v in vars(trellis).items())
+
+    @pytest.mark.parametrize("build", [expurgate, build_reduced, "replaced"])
+    def test_other_records_copy_field_by_field(self, build):
+        matrix, t = _design("hypergraph")
+        if build == "replaced":
+            trellis = dataclasses.replace(build_complete(matrix))
+        else:
+            trellis = build(matrix, t)
+        want = run(trellis, PRIOR, Noiseless(), t).lapp
+        for twin in (copy.deepcopy(trellis), pickle.loads(pickle.dumps(trellis))):
+            assert twin._engine_state == ()
+            assert not any(np.shares_memory(a, b) for a, b in zip(twin.states, trellis.states))
+            assert [s.tobytes() for s in twin.states] == [s.tobytes() for s in trellis.states]
+            assert run(twin, PRIOR, Noiseless(), t).lapp.tobytes() == want.tobytes()
 
 
 class TestStreamingBackward:

@@ -17,7 +17,7 @@ from grouptrellis import (
     compute_syndrome,
     index_to_bits,
 )
-from grouptrellis.model import _pack_rows
+from grouptrellis.model import _pack_rows, _unpack_rows
 from conftest import TOY_ENTRIES
 from helpers import all_vectors, bsc_likelihood, naive_syndrome
 
@@ -127,6 +127,19 @@ class TestPacking:
     def test_roundtrip(self, m, data):
         index = data.draw(st.integers(0, 2**m - 1))
         assert bits_to_index(index_to_bits(index, m)) == index
+
+    @pytest.mark.parametrize("m", [0, 1, 63])
+    def test_codec_roundtrip(self, m):
+        rng = np.random.Generator(np.random.Philox(key=m))
+        rows = (rng.random((40, m)) < 0.5).astype(np.uint8)
+        rows[0], rows[1] = 0, 1  # the all-zero row and the all-one row, the highest index
+        indices = _pack_rows(rows, m)
+        assert indices.dtype == np.int64 and indices.min() >= 0
+        unpacked = _unpack_rows(indices, m)
+        assert unpacked.dtype == np.uint8 and np.array_equal(unpacked, rows)
+        for index, row in zip(indices, rows):
+            assert np.array_equal(index_to_bits(int(index), m), row)
+            assert bits_to_index(row) == index
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):

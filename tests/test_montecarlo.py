@@ -21,7 +21,7 @@ from grouptrellis import (
     sweep_roc,
 )
 from grouptrellis import montecarlo
-from grouptrellis.model import _pack_rows
+from grouptrellis.model import _pack_rows, _unpack_rows
 from grouptrellis.montecarlo import CHUNK_TRIALS
 
 PAIR = TestMatrix(np.array([[1, 1, 0], [0, 1, 1]], dtype=np.uint8))
@@ -121,12 +121,22 @@ class TestThresholdIndexCounting:
         lam, lapp, x = case
         index = montecarlo._threshold_index(lapp, lam, tie_defective)
         index = index.astype(np.min_scalar_type(2 * lam.size + 1))  # as sweep_roc stores it
-        fa, md, n_fa, n_md = montecarlo._count_events(index, x, lam.size)
-        for k, threshold in enumerate(lam):
-            flags = decide(lapp, ThresholdRule(float(threshold), tie_defective)) == 1
-            assert fa[k] == np.sum(flags & ~x)
-            assert md[k] == np.sum(~flags & x)
-        assert (n_fa, n_md) == (np.sum(~x), np.sum(x))
+        hist = montecarlo._count_events(index, x, lam.size)
+        assert hist.shape == (2, lam.size + 1) and hist.dtype == np.int64
+        # a sweep reads its counts off the chunks' summed histogram: split the
+        # trials into two chunks to check the sum too
+        half = lapp.shape[0] // 2
+        parts = [montecarlo._count_events(index[s], x[s], lam.size)
+                 for s in (slice(None, half), slice(half, None))]
+        assert np.array_equal(parts[0] + parts[1], hist)
+        points = montecarlo._operating_points(hist, lam, tie_defective)
+        assert [pt.threshold for pt in points] == lam.tolist()
+        for pt in points:
+            flags = decide(lapp, ThresholdRule(pt.threshold, tie_defective)) == 1
+            assert pt.tie_defective == tie_defective
+            assert pt.fa_events == np.sum(flags & ~x)
+            assert pt.md_events == np.sum(~flags & x)
+            assert (pt.fa_trials, pt.md_trials) == (np.sum(~x), np.sum(x))
 
     def test_index_of_values_on_and_beside_thresholds(self):
         lam = np.array([-math.inf, -1.0, 0.0, 2.0, math.inf])
@@ -155,7 +165,7 @@ def test_packed_sampling_matches_the_drawn_rows(m, delta, noise, trials, chunk_i
     assert np.array_equal(x, want_x)
     assert packed.dtype == np.int64
     assert np.array_equal(packed, _pack_rows(outcomes, m))
-    assert np.array_equal(montecarlo._unpack(packed, m), outcomes.astype(np.uint8))
+    assert np.array_equal(_unpack_rows(packed, m), outcomes.astype(np.uint8))
 
 
 class TestDeterminism:

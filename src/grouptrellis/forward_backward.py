@@ -15,9 +15,15 @@ both a free consistency check and the normaliser turning the pair into a
 posterior probability.
 
 To stay in fast linear arithmetic without underflowing (prior mass shrinks
-like delta^k (1-delta)^(n-k)), both passes renormalise each depth to sum to
-one and accumulate the log of the discarded scale factors; all reported
-quantities fold the accumulated logs back in.
+like delta^k (1-delta)^(n-k)), the forward pass renormalises each depth to
+sum to one and accumulates the log of the discarded scale factors; all
+reported quantities fold the accumulated logs back in.  The backward pass
+needs a scale only where its metric gets small.  With alpha_l summing to
+one, alpha_l . beta_l is the evidence over the scales so far, and a section
+scales it by no less than the smaller edge weight, so a one-column pass
+leaves beta unscaled and divides it by a power of two only when that
+product nears the bottom of the float range (see `_engine`).  A batch of
+several columns still divides each depth by its column sums.
 
 The forward pass does not depend on the outcome, so a trellis from
 `build_complete` keeps it in its engine state, for the latest prior used on
@@ -148,10 +154,10 @@ def _engine(trellis, prior, beta_final, first_row=0):
     wide as the widest depth (always, in a complete trellis), reused as one
     of the pass's work arrays.  Callers pass a fresh array.
 
-    One backward pass holds a single scaled beta at a time.  Each section
-    gathers beta per label in left-state order, 0 where a left state has no
-    edge of that label, so every section takes the same update.  A label
-    whose destination array is its source array keeps every state in place
+    One backward pass holds a single beta at a time.  Each section gathers
+    beta per label in left-state order, 0 where a left state has no edge of
+    that label, so every section takes the same update.  A label whose
+    destination array is its source array keeps every state in place
     (`trellis._build` shares the array exactly there), so beta itself is its
     gather, and where both labels do, one product serves both.  This skips
     copies, not arithmetic: a section built with separate arrays takes the
@@ -159,22 +165,39 @@ def _engine(trellis, prior, beta_final, first_row=0):
     0-gather and then swaps with `home`, and `gather1` takes the 1-gather.
     These three (max states, K) arrays are allocated once per call, so a
     complete trellis allocates nothing per depth; `posterior_table` bounds K
-    by its column block.  Each depth writes its label dot products and column
-    sums into rows of preallocated tables; the edge weights, logs and log
-    scale sums are applied to the whole tables after the loop.
+    by its column block.  Each depth writes its label dot products and the
+    factor beta was divided by into rows of preallocated tables; the edge
+    weights, logs and log scale sums are applied to the whole tables after
+    the loop.
 
-    Column sums (the evidence of beta_final and each depth's scale) go
-    through `_column_sums`: with K >= 2 it adds the states in order, as
-    `sum(axis=0)` does, and with K = 1 it keeps sum's pairwise order, so
-    `run` and the K = 1 blocks of `posterior_table` keep their bits.
+    With K >= 2, every depth divides beta by its column sums.  A single
+    column (`run`, or a one-row `posterior_table`) leaves beta as it is:
+    alpha_l sums to one, so alpha_l . beta_l, which is the section's
+    g0 * z0 + g1 * z1, is the evidence over the scales so far, and a
+    section multiplies that product by at least min(g0, g1) (every state of
+    a trellis has an out-edge).  Only when it falls below
+    2**-500 / min(g0, g1) is beta divided by the power of two at its
+    `math.frexp` exponent, exactly, and the factor written to the depth's
+    scale row; a product above that bound is above 2**-500 after the next
+    section, far from where beta's entries start to underflow.  The batch
+    keeps the division because the ROC counts recorded in
+    `perfbench/reference.json` rest on its bits: moving them flips a
+    threshold tie at the grid centre.
+
+    Column sums (of beta_final, and with K >= 2 of each depth's beta) go
+    through `_column_sums`, which keeps sum's bits at every K.
 
     Raises NotASyndromeError, before any other work, when a column of
-    beta_final is all zero; its message numbers the columns from
-    `first_row`, the caller's row of column 0.  Returns lapp (n, K), log
-    evidence (K,) and section log evidence (n, K).
+    beta_final is all zero, and ValueError when a column yields a NaN lapp
+    or a non-finite log evidence, which the normalised forward pass gives
+    when a state's prefix mass underflows against its depth's largest
+    (a pruned trellis keeps only the outcome's states, which usually avoids
+    it).  The messages number the columns from `first_row`, the caller's
+    row of column 0.  Returns lapp (n, K), log evidence (K,) and section
+    log evidence (n, K).
     """
     n, k = trellis.n, beta_final.shape[1]
-    scale = np.empty((n + 1, k))  # scale[l]: the column sums that beta_l was divided by
+    scale = np.ones((n + 1, k))  # scale[l]: what beta_l was divided by
     d = _column_sums(beta_final, scale[n])
     dead = (d == 0.0).nonzero()[0]
     if dead.size:
@@ -189,14 +212,13 @@ def _engine(trellis, prior, beta_final, first_row=0):
     z1 = np.empty((n, k))
     b = beta_final
     b /= d
-    log_evidence = np.log(alpha[n] @ b) + a_log[n] + np.log(d)
+    evidence = alpha[n] @ b
     width = max(map(len, trellis.states))
     home = b if len(b) == width else np.empty((width, k))
     spare, gather1 = np.empty((width, k)), np.empty((width, k))
     matmul, multiply, column_sums = np.matmul, np.multiply, _column_sums
-    # with K = 1 divide by a 0-d view of the column sum: a (1,) row would take
-    # numpy's general broadcasting loop, a 0-d one its fast loop
-    divisor = (0, ...) if k == 1 else ...
+    w0, w1 = 1.0 - prior.delta, prior.delta
+    tiny = 2.0**-500 / min(w0, w1) if k == 1 else None  # None: divide by the column sums
     # depth by depth from the last: the section, alpha and the rows written
     sections = trellis._engine_state[0] if trellis._engine_state else trellis.sections
     depths = zip(reversed(sections), alpha[:n][::-1], z0[::-1], z1[::-1], scale[:n][::-1])
@@ -219,14 +241,29 @@ def _engine(trellis, prior, beta_final, first_row=0):
         bz *= g0
         bz += bo
         b = bz
-        b /= column_sums(b, scale_row)[divisor]
+        if tiny is None:
+            b /= column_sums(b, scale_row)
+        else:
+            mass = w0 * z0_row[0] + w1 * z1_row[0]  # alpha_l . beta_l
+            if mass < tiny:
+                scale_row[0] = f = 2.0 ** math.frexp(mass)[1]
+                b /= f
     u0 = g0 * z0
     u1 = g1 * z1
     # log of the contiguous table: a reversed view may take a loop that rounds differently
     b_log = np.add.accumulate(np.log(scale)[::-1], axis=0)[::-1]
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_evidence = np.log(evidence) + a_log[n] + np.log(d)
         lapp = np.log(u0) - np.log(u1)
         section_log_evidence = np.log(u0 + u1) + (a_log[:n, None] + b_log[1:])
+    lost = (np.isnan(lapp).any(axis=0) | ~np.isfinite(log_evidence)).nonzero()[0]
+    if lost.size:
+        raise ValueError(
+            f"outcome row {first_row + int(lost[0])} has paths too unlikely for the forward "
+            f"pass, whose prefix masses underflow next to the likeliest of their depth "
+            f"({lost.size} such row(s) in rows {first_row}-{first_row + k - 1}); a pruned "
+            f"trellis (expurgated or reduced) keeps only the outcome's paths"
+        )
     return lapp, log_evidence, section_log_evidence
 
 

@@ -73,6 +73,11 @@ class TestMatrix:
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
+    def __reduce__(self):
+        """Pickle or copy as a rebuild from `entries`, so the copy's arrays are
+        read-only too and its `column_masks` are packed from its own entries."""
+        return type(self), (self.entries,)
+
     @property
     def m(self):
         """Number of tests (rows)."""

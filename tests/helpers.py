@@ -161,9 +161,13 @@ def reference_passes(trellis, prior, beta_final):
 
     The forward pass scatters both labels with `bincount` at every depth and
     the backward pass gathers both labels into fresh arrays at every section,
-    then takes the update g0 * b0 + g1 * b1.  The engine must match this to
-    the bit.  Returns lapp (n, K), log evidence (K,), section log evidence
-    (n, K), alpha (list) and alpha log scales.
+    then takes the update g0 * b0 + g1 * b1.  With several columns each
+    depth then divides beta by its column sums; one column keeps beta
+    unscaled unless the section's u0 + u1 falls below 2**-500 / min(g0, g1),
+    and then divides it by the power of two at that sum's `math.frexp`
+    exponent.  The engine must match this to the bit.  Returns lapp (n, K),
+    log evidence (K,), section log evidence (n, K), alpha (list) and alpha
+    log scales.
     """
     g0, g1 = 1.0 - prior.delta, prior.delta
     n = trellis.n
@@ -194,7 +198,12 @@ def reference_passes(trellis, prior, beta_final):
         bz *= g0
         bo *= g1
         b = bz + bo
-        c = b.sum(axis=0)
+        if b.shape[1] > 1:
+            c = b.sum(axis=0)
+        else:
+            mass = float(u0[ell, 0] + u1[ell, 0])
+            small = mass < 2.0**-500 / min(g0, g1)
+            c = np.array([2.0 ** math.frexp(mass)[1] if small else 1.0])
         b /= c
         b_log.insert(0, b_log[0] + np.log(c))
     b_log = np.array(b_log)

@@ -259,6 +259,20 @@ class TestAppRows:
             "epsilon**7 is below the smallest normal float\n"
         )
 
+    def test_underflowing_forward_pass_exits_2(self, capsys):
+        # the normalised forward pass of the complete eye(12) trellis loses the
+        # all-ones prefix at delta 1e-30; the reduced trellis keeps only its path
+        argv = ["app", "--kind", "hypergraph", "--vertices", "12", "--subset-size", "1",
+                "--delta", "1e-30", "--outcome", "1" * 12]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: outcome row 0 has paths too unlikely for the forward pass")
+        assert "nan" not in out
+        assert main(argv + ["--trellis", "reduced"]) == 0
+        out = capsys.readouterr().out
+        assert [row[1] for row in _table_rows(out)] == ["-inf"] * 12
+        assert "# log-evidence: -828.93" in out
+
 
 class TestRoc:
     def test_identical_invocations_are_byte_identical(self, tmp_path):

@@ -32,7 +32,12 @@ from grouptrellis import (
 )
 from grouptrellis.trellis import EdgeSection
 from conftest import TOY_ENTRIES
-from helpers import ScaledBsc, reference_passes, walk_partial_syndromes
+from helpers import (
+    ScaledBsc,
+    reference_passes,
+    subset_lattice_posteriors,
+    walk_partial_syndromes,
+)
 
 T_101 = np.array([1, 0, 1], dtype=np.uint8)
 PRIOR = Prior(0.1)
@@ -411,7 +416,7 @@ class TestStreamingBackward:
                 section = single.section_log_evidence
                 assert np.allclose(section, single.log_evidence, rtol=1e-12, atol=0)
                 alone = posterior_table(trellis, PRIOR, noise, t[None])[0]
-                assert np.array_equal(alone, single.lapp)
+                assert alone.tobytes() == single.lapp.tobytes()
 
     @pytest.mark.parametrize("shape", [(12, 48, 0.15), (16, 64, 0.1)], ids=["12x48", "16x64"])
     def test_engine_gathers_through_writeable_index_arrays(self, monkeypatch, shape):
@@ -503,7 +508,8 @@ class TestBitwiseReference:
     """The engine skips copies where a label is the identity, and nothing
     else: every output equals the plain two-gather pass to the bit."""
 
-    def _assert_run_matches(self, trellis, prior, noise, t):
+    @staticmethod
+    def _assert_run_matches(trellis, prior, noise, t):
         if trellis.outcome is None:
             beta_final = noise.likelihood_table(t[None, :], trellis.states[-1], trellis.m)
         else:
@@ -860,6 +866,81 @@ class TestPosteriorPairsForm:
     def test_infinities_are_exact(self):
         pairs = posterior_pairs(np.array([np.inf, -np.inf]))
         assert pairs.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+
+def _eye(m):
+    return TestMatrix(np.eye(m, dtype=np.uint8))
+
+
+class TestOneColumnScale:
+    """One column leaves beta unscaled and divides it by a power of two only
+    when alpha . beta nears the bottom of the float range; every case here
+    takes that division, since its evidence lies below 2**-500 / delta."""
+
+    CASES = [  # (matrix, reduced, delta), each on the all-ones outcome
+        (lambda: _eye(6), False, 1e-40),  # evidence 1e-240
+        (lambda: _eye(20), True, 1e-20),
+        (lambda: _eye(20), True, 1e-100),
+        (lambda: hypergraph_incidence(10, 2), False, 1e-40),
+        (lambda: hypergraph_incidence(10, 2), True, 1e-40),
+    ]
+    IDS = ["complete-eye6", "reduced-eye20-1e-20", "reduced-eye20-1e-100",
+           "complete-hypergraph10", "reduced-hypergraph10"]  # fmt: skip
+
+    @staticmethod
+    def _case(make, reduced):
+        matrix = make()
+        t = np.ones(matrix.m, np.uint8)
+        return matrix, (build_reduced(matrix, t) if reduced else build_complete(matrix)), t
+
+    @pytest.mark.parametrize("make, reduced, delta", CASES, ids=IDS)
+    def test_rescaled_passes_match_the_subset_lattice(self, make, reduced, delta):
+        matrix, trellis, t = self._case(make, reduced)
+        result = run(trellis, Prior(delta), Noiseless(), t)
+        assert result.log_evidence < math.log(2.0**-500 / delta)
+        if matrix.m > 12:  # eye(m): m independent tests, each forcing its element
+            want, log_evidence = np.full(matrix.m, -np.inf), matrix.m * math.log(delta)
+        else:
+            want, log_evidence = subset_lattice_posteriors(matrix.entries, t, delta)
+        assert np.array_equal(np.isinf(result.lapp), np.isinf(want))
+        assert np.array_equal(result.lapp[np.isinf(want)], want[np.isinf(want)])
+        finite = np.isfinite(want)
+        assert np.allclose(result.lapp[finite], want[finite], rtol=1e-12, atol=0)
+        assert result.log_evidence == pytest.approx(log_evidence, rel=1e-12)
+        assert np.allclose(result.section_log_evidence, log_evidence, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("make, reduced, delta", CASES, ids=IDS)
+    def test_rescaled_bits_equal_the_reference(self, make, reduced, delta):
+        _, trellis, t = self._case(make, reduced)
+        TestBitwiseReference._assert_run_matches(trellis, Prior(delta), Noiseless(), t)
+        if not reduced:
+            table = posterior_table(trellis, Prior(delta), Noiseless(), t[None])[0]
+            assert table.tobytes() == run(trellis, Prior(delta), Noiseless(), t).lapp.tobytes()
+
+
+class TestForwardUnderflow:
+    """An outcome whose prefix mass underflows the normalised forward pass of a
+    complete trellis raises instead of giving NaN lapp; a pruned trellis,
+    which keeps only its paths, gives the exact answer."""
+
+    T = np.ones(12, np.uint8)
+
+    def test_run_and_posterior_table_raise(self, narrowest_blocks):
+        trellis = build_complete(_eye(12))
+        match = r"outcome row 0 has paths too unlikely .*\(1 such row\(s\) in rows 0-0\)"
+        with pytest.raises(ValueError, match=match):
+            run(trellis, Prior(1e-30), Noiseless(), self.T)
+        sure = np.eye(12, dtype=np.uint8)[:8]  # one fired test each: likely enough
+        rows = np.vstack([sure, self.T[None], sure])
+        with pytest.raises(ValueError, match=r"row 8 has paths too unlikely .* rows 8-16\)"):
+            posterior_table(trellis, Prior(1e-30), Noiseless(), rows)
+
+    def test_reduced_trellis_matches_the_subset_lattice(self):
+        result = run(build_reduced(_eye(12), self.T), Prior(1e-30), Noiseless(), self.T)
+        lapp, log_evidence = subset_lattice_posteriors(np.eye(12, dtype=np.uint8), self.T, 1e-30)
+        assert np.array_equal(lapp, np.full(12, -np.inf))
+        assert result.lapp.tobytes() == lapp.tobytes()
+        assert result.log_evidence == pytest.approx(log_evidence, rel=1e-12)
 
 
 class TestBscUnderflow:

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import inspect
+import pickle
 import re
 
 import numpy as np
@@ -15,6 +17,7 @@ from grouptrellis import (
     TestMatrix,
     bits_to_index,
     compute_syndrome,
+    hypergraph_incidence,
     index_to_bits,
 )
 from grouptrellis.model import _pack_rows, _unpack_rows
@@ -59,6 +62,20 @@ class TestTestMatrix:
         entries[0, 0] = 0
         assert mat.entries.tolist() == [[1, 1, 0], [0, 1, 1]]
         assert mat.column_masks.tolist() == [1, 3, 2]
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))])
+    def test_copies_stay_read_only(self, clone):
+        matrix = hypergraph_incidence(9, 3)
+        matrix.column_masks  # a cached mask must not travel with the copy
+        twin = clone(matrix)
+        assert twin.entries.tobytes() == matrix.entries.tobytes()
+        assert twin.column_masks.tobytes() == matrix.column_masks.tobytes()
+        for arr in (twin.entries, twin.column_masks):
+            assert not arr.flags.writeable
+            assert not np.shares_memory(arr, matrix.entries)
+            assert not np.shares_memory(arr, matrix.column_masks)
+        with pytest.raises(ValueError, match="read-only"):
+            twin.entries[0, 0] = 1 - twin.entries[0, 0]
 
     def test_bool_entries_accepted(self):
         mat = TestMatrix(TOY_ENTRIES.astype(bool))

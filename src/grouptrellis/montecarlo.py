@@ -40,6 +40,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -216,9 +217,9 @@ def sweep_roc(
     element, the index of the first threshold that flags the element (one
     byte each for grids of up to 127 thresholds) instead of the lapp.
     Raises ValueError, before any trellis exists, for an empty, NaN or
-    repeated threshold, a trial or worker count below one, a channel other
-    than Noiseless or Bsc, or a Bsc crossover whose likelihood table on the
-    matrix's tests would underflow (`Bsc.likelihood_table`).
+    repeated threshold, a trial or worker count that is below one, a bool or
+    not an integer, a channel other than Noiseless or Bsc, or a Bsc crossover
+    whose likelihood table on the matrix's tests would underflow.
     """
     lam = np.sort(np.asarray(thresholds, dtype=float))
     if lam.size == 0:
@@ -227,15 +228,16 @@ def sweep_roc(
         raise ValueError("thresholds must not contain NaN")
     if lam.size > 1 and np.any(lam[1:] == lam[:-1]):
         raise ValueError("thresholds must be distinct")
-    if trials < 1:
-        raise ValueError(f"trial count must be positive, got {trials}")
+    for what, count in (("trial", trials), ("worker", workers)):
+        if isinstance(count, bool) or not hasattr(type(count), "__index__"):
+            raise ValueError(f"{what} count must be an integer, got {count!r}")
+        if operator.index(count) < 1:
+            raise ValueError(f"{what} count must be positive, got {count}")
     if not isinstance(noise, (Noiseless, Bsc)):
         raise ValueError("simulation draws outcomes only for noiseless or BSC channels")
     noise._weights(matrix.m)  # raises for a crossover whose likelihoods would underflow
-    if workers < 1:
-        raise ValueError(f"worker count must be positive, got {workers}")
     # a round holds one sampled chunk and one thread per worker
-    workers = min(workers, os.cpu_count() or 1)
+    trials, workers = operator.index(trials), min(operator.index(workers), os.cpu_count() or 1)
     trellis = build_complete(matrix)
     chunk_count = -(-trials // CHUNK_TRIALS)
     index_type = np.min_scalar_type(2 * lam.size + 1)  # the least type _count_events can use

@@ -98,7 +98,8 @@ class Trellis:
     `column_masks`, one packed pool column per section, are read-only, as
     are the state and edge arrays of a record `build_complete` returns, the
     only kind that keeps a forward pass.  A pruned record, or one made by
-    `dataclasses.replace`, runs afresh from its `sections`.
+    `dataclasses.replace`, runs afresh from its `sections`.  Every copy and
+    pickle is the rebuild of `m`, `column_masks`, `kept` and `outcome`.
     """
 
     m: int
@@ -107,23 +108,15 @@ class Trellis:
     sections: tuple
     outcome: np.ndarray | None
     kept: np.ndarray
-    #: `[owners, (prevalence, forward pass)]` for a record `build_complete`
-    #: returned, else empty: the writeable owners of its read-only edge views
+    #: `[owners, (prevalence, forward pass)]` for a record `build_complete` returned or
+    #: rebuilt as a copy, else empty: the writeable owners of its read-only edge views
     #: (numpy's take copies a read-only index on every call) and its latest pass.
     _engine_state: list | tuple = dataclasses.field(default=(), init=False, repr=False)
 
-    def __reduce_ex__(self, protocol):
-        """Pickle or deep-copy a `build_complete` record as a rebuild, whose sections are
-        again read-only views of the arrays its engine reads; any other field by field."""
-        if self._engine_state:
-            return _build, (self.m, self.column_masks, self.kept)
-        return super().__reduce_ex__(protocol)
-
-    def __copy__(self):
-        """A record sharing every field, the engine state too, so it rebuilds nothing."""
-        twin = object.__new__(type(self))
-        twin.__dict__.update(vars(self))
-        return twin
+    def __reduce__(self):
+        """Copy or pickle as the trellis its construction inputs build."""
+        final = None if self.outcome is None else int(self.states[-1][0])
+        return _build, (self.m, self.column_masks, self.kept, self.outcome, final)
 
     @property
     def n(self):

@@ -2,11 +2,25 @@
 
 import itertools
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
-from grouptrellis import Bsc
+from grouptrellis import (
+    Bsc,
+    Noiseless,
+    NotASyndromeError,
+    Prior,
+    TestMatrix,
+    build_complete,
+    build_reduced,
+    enumerate_posteriors,
+    expurgate,
+    posterior_table,
+    run,
+)
 
 
 class ScaledBsc(Bsc):
@@ -211,3 +225,69 @@ def reference_passes(trellis, prior, beta_final):
         lapp = np.log(u0) - np.log(u1)
         section = np.log(u0 + u1) + (a_log[:n, None] + b_log[1:])
     return lapp, log_evidence, section, alpha, a_log
+
+
+def _logistic_pairs(lapp):
+    """(clear, defective) posteriors from lapp, each side's small one as e / (1 + e).
+
+    Unlike `posterior_pairs`, which takes the clear side as 1 - p1, this
+    keeps its relative precision when lapp < 0.
+    """
+    e = np.exp(-np.abs(lapp))
+    small, big = e / (1.0 + e), 1.0 / (1.0 + e)
+    clear = lapp >= 0
+    return np.stack([np.where(clear, big, small), np.where(clear, small, big)], axis=1)
+
+
+def assert_matches_oracles(entries, t, delta, eps):
+    """Check every trellis flavour that applies against both oracles.
+
+    The complete trellis always applies, the expurgated and reduced ones
+    only when eps is 0.  Each must raise NotASyndromeError exactly when the
+    outcome has zero probability (the subset lattice's exact evidence is
+    0).  Otherwise each gives the exact ±inf pattern; posterior pairs and
+    evidence within 1e-9 of `enumerate_posteriors`, measured as
+    `oracle-check` measures them but with pairs in the stable logistic
+    form; and lapp and log evidence within 1e-12 of
+    `subset_lattice_posteriors`.  `run` on the complete trellis equals its
+    one-row `posterior_table` byte for byte, and a pickle round trip of each
+    flavour gives the same lapp bytes.
+    """
+    entries = np.asarray(entries, np.uint8)
+    t = np.asarray(t, np.uint8)
+    matrix, prior = TestMatrix(entries), Prior(delta)
+    noise = Bsc(eps) if eps else Noiseless()
+    builds = [lambda: build_complete(matrix)]
+    if not eps:
+        builds += [lambda: expurgate(matrix, t), lambda: build_reduced(matrix, t)]
+    try:
+        want, log_evidence = subset_lattice_posteriors(entries, t, delta, eps)
+    except ValueError:  # the outcome has zero probability
+        for build in builds:
+            with pytest.raises(NotASyndromeError):
+                run(build(), prior, noise, t)
+        with pytest.raises(NotASyndromeError):
+            posterior_table(build_complete(matrix), prior, noise, t[None])
+        return
+    reference = enumerate_posteriors(matrix, t, prior, noise)
+    total = reference.total_mass
+    ref_pairs = np.stack([reference.mass0 / total, reference.mass1 / total], axis=1)
+    for build in builds:
+        trellis = build()
+        result = run(trellis, prior, noise, t)
+        lapp = result.lapp
+        assert np.array_equal(np.isposinf(lapp), np.isposinf(want))
+        assert np.array_equal(np.isneginf(lapp), np.isneginf(want))
+        assert np.array_equal(np.isposinf(lapp), reference.mass1 == 0)
+        assert np.array_equal(np.isneginf(lapp), reference.mass0 == 0)
+        finite = np.isfinite(want)
+        assert np.allclose(lapp[finite], want[finite], rtol=1e-12, atol=1e-12)
+        assert result.log_evidence == pytest.approx(log_evidence, rel=1e-12, abs=1e-12)
+        pairs = _logistic_pairs(lapp)
+        assert np.max(np.abs(pairs - ref_pairs) / np.maximum(np.abs(ref_pairs), 1e-300)) <= 1e-9
+        assert math.exp(result.log_evidence) == pytest.approx(float(total[0]), rel=1e-9)
+        if trellis.outcome is None:
+            table = posterior_table(trellis, prior, noise, t[None])
+            assert table[0].tobytes() == lapp.tobytes()
+        twin = pickle.loads(pickle.dumps(trellis))
+        assert run(twin, prior, noise, t).lapp.tobytes() == lapp.tobytes()

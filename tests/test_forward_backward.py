@@ -10,6 +10,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grouptrellis import (
     Bsc,
@@ -34,6 +36,7 @@ from grouptrellis.trellis import EdgeSection
 from conftest import TOY_ENTRIES
 from helpers import (
     ScaledBsc,
+    assert_matches_oracles,
     reference_passes,
     subset_lattice_posteriors,
     walk_partial_syndromes,
@@ -143,7 +146,37 @@ class TestKindEquality:
         assert reduced.log_evidence == pytest.approx(6 * math.log(0.9), rel=1e-12)
 
 
+@st.composite
+def oracle_cases(draw):
+    """(entries, outcome, delta, eps) over at most 5 tests and 8 elements.
+
+    Columns are drawn as zero, all-ones, any, or a copy of an earlier
+    column; some rows are then set to all ones; the outcome is empty, full,
+    the syndrome of a drawn defectivity vector, or any bits.
+    """
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    full = (1 << m) - 1
+    columns = []
+    for _ in range(n):
+        kinds = [st.just(0), st.just(full), st.integers(0, full)]
+        columns.append(draw(st.one_of(*kinds, *([st.sampled_from(columns)] if columns else []))))
+    entries = np.array([[c >> i & 1 for c in columns] for i in range(m)], np.uint8)
+    entries[sorted(draw(st.sets(st.integers(0, m - 1))))] = 1
+    bits = st.lists(st.integers(0, 1), min_size=m, max_size=m)
+    x = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), np.uint8)
+    syndrome = (entries.astype(np.int64) @ x > 0).astype(np.uint8).tolist()
+    t = draw(st.sampled_from([[0] * m, [1] * m, syndrome]) | bits)
+    delta = draw(st.sampled_from([1e-9, 0.05, 0.5, 1 - 1e-9]))
+    eps = draw(st.sampled_from([0.0, 1e-6, 0.3]))
+    return entries, np.array(t, np.uint8), delta, eps
+
+
 class TestOracleAgreement:
+    @given(oracle_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_drawn_cases_match_both_oracles(self, case):
+        assert_matches_oracles(*case)
+
     def test_noiseless_exact_infinities(self, toy_matrix):
         result = run(build_complete(toy_matrix), PRIOR, Noiseless(), T_101)
         reference = enumerate_posteriors(toy_matrix, T_101, PRIOR, Noiseless())
@@ -350,44 +383,45 @@ class TestAlphaCache:
 
 
 class TestCopies:
-    """Copies and pickles of a complete record run the arrays their sections show."""
+    """`copy.copy`, `copy.deepcopy` and `pickle` all rebuild a trellis from its
+    construction inputs: the same states, lapp bytes and read-only arrays,
+    and a complete copy's sections are again views of what its engine reads."""
 
-    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))],
-                             ids=["deepcopy", "pickle"])
-    def test_complete_record_is_rebuilt(self, clone):
+    BUILDS = {
+        "complete": lambda matrix, t: build_complete(matrix),
+        "expurgated": expurgate,
+        "reduced": build_reduced,
+        "replaced": lambda matrix, t: dataclasses.replace(build_complete(matrix)),
+    }
+    CLONES = {
+        "copy": copy.copy,
+        "deepcopy": copy.deepcopy,
+        "pickle": lambda trellis: pickle.loads(pickle.dumps(trellis)),
+    }
+
+    @staticmethod
+    def _arrays(trellis):
+        fields = (trellis.column_masks, trellis.kept, trellis.outcome, *trellis.states)
+        return [a for a in fields if a is not None] + [a for s in trellis.sections for a in s]
+
+    @pytest.mark.parametrize("clone", CLONES.values(), ids=CLONES.keys())
+    @pytest.mark.parametrize("build", BUILDS.values(), ids=BUILDS.keys())
+    def test_copy_is_the_rebuilt_trellis(self, build, clone):
         matrix, t = _design("hypergraph")
-        trellis = build_complete(matrix)
-        want = run(trellis, PRIOR, Bsc(0.05), t)
+        trellis = build(matrix, t)
+        noise = Bsc(0.05) if trellis.outcome is None else Noiseless()
+        want = run(trellis, PRIOR, noise, t)
         twin = clone(trellis)
-        got = run(twin, PRIOR, Bsc(0.05), t)
+        got = run(twin, PRIOR, noise, t)
+        assert twin is not trellis
         assert got.lapp.tobytes() == want.lapp.tobytes()
-        assert got.log_evidence == want.log_evidence
-        for shown, engine in zip(twin.sections, twin._engine_state[0]):
-            for view, arr in zip(shown, engine):
-                assert not view.flags.writeable and np.shares_memory(view, arr)
-        with pytest.raises(ValueError, match="read-only"):
-            twin.sections[5].one_dst[0] = 0
+        assert np.float64(got.log_evidence).tobytes() == np.float64(want.log_evidence).tobytes()
         assert [s.tobytes() for s in twin.states] == [s.tobytes() for s in trellis.states]
-
-    def test_shallow_copy_shares_every_field(self):
-        trellis = build_complete(_design("hypergraph")[0])
-        twin = copy.copy(trellis)
-        assert twin is not trellis and vars(twin).keys() == vars(trellis).keys()
-        assert all(vars(twin)[k] is v for k, v in vars(trellis).items())
-
-    @pytest.mark.parametrize("build", [expurgate, build_reduced, "replaced"])
-    def test_other_records_copy_field_by_field(self, build):
-        matrix, t = _design("hypergraph")
-        if build == "replaced":
-            trellis = dataclasses.replace(build_complete(matrix))
-        else:
-            trellis = build(matrix, t)
-        want = run(trellis, PRIOR, Noiseless(), t).lapp
-        for twin in (copy.deepcopy(trellis), pickle.loads(pickle.dumps(trellis))):
-            assert twin._engine_state == ()
-            assert not any(np.shares_memory(a, b) for a, b in zip(twin.states, trellis.states))
-            assert [s.tobytes() for s in twin.states] == [s.tobytes() for s in trellis.states]
-            assert run(twin, PRIOR, Noiseless(), t).lapp.tobytes() == want.tobytes()
+        flags = [a.flags.writeable for a in self._arrays(trellis)]
+        assert [a.flags.writeable for a in self._arrays(twin)] == flags
+        if twin.outcome is None:
+            for shown, engine in zip(twin.sections, twin._engine_state[0]):
+                assert all(np.shares_memory(view, arr) for view, arr in zip(shown, engine))
 
 
 class TestStreamingBackward:

@@ -328,6 +328,28 @@ class TestValidation:
         with pytest.raises(ValueError):
             sweep_roc(PAIR, PRIOR, Noiseless(), [0.0], trials=100, seed=0, workers=0)
 
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            ({"trials": 1000.0}, "trial count must be an integer, got 1000.0"),
+            ({"trials": True}, "trial count must be an integer, got True"),
+            ({"workers": 2.0}, "worker count must be an integer, got 2.0"),
+            ({"workers": True}, "worker count must be an integer, got True"),
+        ],
+        ids=["float-trials", "bool-trials", "float-workers", "bool-workers"],
+    )
+    def test_non_integer_counts_rejected(self, counts, message):
+        kwargs = {"trials": 100, "workers": 1} | counts
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sweep_roc(PAIR, PRIOR, Noiseless(), [0.0], seed=0, **kwargs)
+
+    def test_numpy_integer_counts_run_as_ints(self):
+        curve = sweep_roc(PAIR, PRIOR, Noiseless(), [0.0], np.int64(100), seed=0,
+                          workers=np.int64(2))
+        assert type(curve.trials) is int and curve.trials == 100
+        want = sweep_roc(PAIR, PRIOR, Noiseless(), [0.0], 100, seed=0)
+        assert curve.points == want.points
+
     def test_underflowing_crossover_rejected_before_any_work(self, monkeypatch):
         def unexpected(*args):
             raise AssertionError("the sweep started")
